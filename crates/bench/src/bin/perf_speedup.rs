@@ -14,10 +14,10 @@
 //!   the frozen per-sequence inference oracle (`infer_chunk_reference`) and the batched
 //!   `encode_batch` tape graph vs. one per-row graph per text;
 //! * `knn_join`: the GEMM-tiled join vs. a per-query scalar scan without kernels — in
-//!   the dense layout, the sharded layout (routing on and off), the sharded layout
-//!   with every shard spilled to disk under a zero residency budget (routed + spilled),
-//!   and the i8-quantized two-stage scan (resident and spilled; throughput ungated,
-//!   with a **gated** 3.5x memory-density floor on the scan payload format);
+//!   the dense layout, the sharded layout, the sharded layout with every shard spilled
+//!   to disk under a zero residency budget (routed + spilled), and the i8-quantized
+//!   two-stage scan (resident and spilled; throughput ungated, with a **gated** 3.5x
+//!   memory-density floor on the scan payload format);
 //! * the persistence/serving subsystem: cold `ShardedCosineIndex::load_snapshot` (reads
 //!   only the manifest) vs. rebuilding the same index from raw vectors, and a warm
 //!   query-cache `knn_join` served over localhost TCP (`sudowoodo-serve`) vs. computing
@@ -562,19 +562,6 @@ fn knn_rows(rows: &mut Vec<SpeedupRow>) {
         scored_pairs,
     ));
 
-    // Routing off: the A/B baseline for the routing layer (parallel shard-group merge,
-    // no pruning).
-    let mut unrouted = ShardedCosineIndex::from_vectors(&corpus, 1024);
-    unrouted.set_routing_enabled(false);
-    let fast_unrouted = time(2, || unrouted.knn_join(&queries, k));
-    rows.push(SpeedupRow::new(
-        format!("knn_join sharded cap=1024 routing off (d={dim}, k={k})"),
-        naive,
-        fast_unrouted,
-        queries.len(),
-        scored_pairs,
-    ));
-
     // Routed + spilled: a zero residency budget puts every shard on disk, so each
     // non-pruned shard is faulted back per query tile. Routing keeps pruned shards
     // from ever touching disk; the remaining fault cost is what this row tracks.
@@ -642,7 +629,6 @@ fn knn_rows(rows: &mut Vec<SpeedupRow>) {
     let expected = index.knn_join(&queries[..64], k);
     for (name, variant) in [
         ("routed", &sharded),
-        ("unrouted", &unrouted),
         ("spilled", &spilled),
         ("quantized", &quantized),
         ("quantized spilled", &quant_spilled),

@@ -559,7 +559,6 @@ fn load_delta_depth(dir: &Path, depth: usize) -> io::Result<ShardedCosineIndex> 
         live,
         shards,
         memory_budget: None,
-        routing: true,
         spill_dir: None,
         clock: AtomicU64::new(0),
         counters: RoutingCounters::default(),

@@ -12,10 +12,10 @@
 //!
 //! [`ShardedCosineIndex`] answers both: the corpus is partitioned into fixed-capacity
 //! **shards**, each a small row-major matrix that reuses the exact GEMM tile path of the
-//! dense index. `knn_join` computes per-shard `query-tile x shardᵀ` products (rayon
-//! parallel) and merges per-shard candidates through the same bounded-heap top-k selector
-//! as the dense path, so results are **deterministic and identical** to a dense index over
-//! the same rows. Ingestion is incremental: [`ShardedCosineIndex::add_batch`] appends
+//! dense index. `knn_join` computes per-shard `query-tile x shardᵀ` products (query tiles
+//! in parallel) and merges per-shard candidates through the same bounded-heap top-k
+//! selector as the dense path, so results are **deterministic and identical** to a dense
+//! index over the same rows. Ingestion is incremental: [`ShardedCosineIndex::add_batch`] appends
 //! (normalizing only the new rows), [`ShardedCosineIndex::remove`] tombstones, and
 //! [`ShardedCosineIndex::compact`] repacks shards to drop tombstones.
 //!
@@ -43,9 +43,9 @@
 //!    per-row independent, so grouping does not affect the value — only which kernel
 //!    runs does); spilling preserves the matrix bit-for-bit, so a faulted shard scores
 //!    identically to a resident one;
-//! 3. all candidates — per-shard, per-group, and the cross-group merge — flow through
-//!    the crate's single top-k selector, whose (score descending, id ascending) total
-//!    order is insertion-order independent; routing skips only shards whose best
+//! 3. every candidate of every visited shard flows through the crate's single top-k
+//!    selector, whose (score descending, id ascending) total order is insertion-order
+//!    independent; routing skips only shards whose best
 //!    possible score is *strictly* below every query's currently retained `k`-th best
 //!    (see [`crate::routing`] for the admissibility argument), so pruning never changes
 //!    the selected set.
@@ -53,12 +53,12 @@
 //! Rows keep **stable ids** (their insertion sequence number) across `remove`/`compact`,
 //! so downstream candidate pairs remain valid while the index mutates underneath.
 
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
@@ -73,11 +73,6 @@ use crate::storage::{QuantizedMatrix, QuantizedRow, ShardStorage, SpillDir};
 /// Number of query rows per GEMM tile in [`ShardedCosineIndex::knn_join`] — the same tile
 /// height as the dense index so both paths have identical cache behavior per shard.
 const QUERY_TILE: usize = 256;
-
-/// Maximum number of shard groups a single query tile fans out over. Bounds the
-/// merge-buffer memory at `MERGE_GROUPS x tile_rows x k` candidates while still keeping
-/// every core busy when the query set fits one tile.
-const MERGE_GROUPS: usize = 8;
 
 /// Why a [`ShardedCosineIndex::remove`] (or [`crate::BlockingIndex::remove`]) failed.
 ///
@@ -137,8 +132,7 @@ impl std::error::Error for RemoveError {}
 ///   scan happens.
 ///
 /// Shard counts are per *visit opportunity*: one shard scored (or skipped) for one
-/// query tile (with routing disabled, for one query tile in one merge group). Cache
-/// counts are per `knn_join` call while the cache is enabled. Quarantine fields are
+/// query tile. Cache counts are per `knn_join` call while the cache is enabled. Quarantine fields are
 /// the failure-model half of the report: which shards have been taken out of service
 /// because their storage could not be read (see [`JoinOutcome`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -332,12 +326,12 @@ impl Shard {
 
 /// Lazily quantized copies of one query tile's normalized rows, computed at most once
 /// per tile and only when a quantized shard is actually scanned — a fully dense index
-/// never pays for query quantization. Shared across the tile's shard visits (including
-/// the rayon-parallel merge groups of the unrouted path) through the `OnceLock`.
+/// never pays for query quantization. Shared across the tile's shard visits through the
+/// `OnceCell`.
 struct QuantQueries<'a> {
     q_block: &'a Matrix,
     inv_norms: &'a [f32],
-    rows: OnceLock<Vec<QuantizedRow>>,
+    rows: OnceCell<Vec<QuantizedRow>>,
 }
 
 impl<'a> QuantQueries<'a> {
@@ -345,7 +339,7 @@ impl<'a> QuantQueries<'a> {
         QuantQueries {
             q_block,
             inv_norms,
-            rows: OnceLock::new(),
+            rows: OnceCell::new(),
         }
     }
 
@@ -367,7 +361,7 @@ impl<'a> QuantQueries<'a> {
 /// A streaming, sharded collection of L2-normalized dense vectors.
 ///
 /// Functionally a [`crate::CosineIndex`] that can grow in batches, delete rows, score
-/// shards in parallel, spill cold shards to disk under a memory budget, and skip shards
+/// query tiles in parallel, spill cold shards to disk under a memory budget, and skip shards
 /// whose routing bound cannot reach the top-k. Ids returned by searches are **stable
 /// insertion ids**: the `i`-th vector ever added has id `i`, forever, regardless of later
 /// [`ShardedCosineIndex::remove`] or [`ShardedCosineIndex::compact`] calls.
@@ -420,8 +414,6 @@ pub struct ShardedCosineIndex {
     /// Resident-memory budget (bytes of shard matrix payload) applied after `compact`;
     /// `None` keeps everything resident.
     pub(crate) memory_budget: Option<usize>,
-    /// Whether routing-statistics shard skipping is active.
-    pub(crate) routing: bool,
     /// Spill-file directory, created lazily the first time a shard spills.
     pub(crate) spill_dir: Option<SpillDir>,
     /// Logical clock stamping shard use (searches and ingestion).
@@ -453,7 +445,6 @@ impl Clone for ShardedCosineIndex {
             live: self.live,
             shards: self.shards.clone(),
             memory_budget: self.memory_budget,
-            routing: self.routing,
             spill_dir: None,
             clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
             counters: RoutingCounters::default(),
@@ -467,8 +458,7 @@ impl Clone for ShardedCosineIndex {
 impl ShardedCosineIndex {
     /// Creates an empty index whose shards hold at most `shard_capacity` vectors each.
     ///
-    /// Routing-statistics shard skipping is enabled by default (it never changes
-    /// results); no memory budget is set, so nothing spills until
+    /// No memory budget is set, so nothing spills until
     /// [`ShardedCosineIndex::set_memory_budget`] is called.
     ///
     /// # Panics
@@ -485,7 +475,6 @@ impl ShardedCosineIndex {
             live: 0,
             shards: Vec::new(),
             memory_budget: None,
-            routing: true,
             spill_dir: None,
             clock: AtomicU64::new(0),
             counters: RoutingCounters::default(),
@@ -568,19 +557,6 @@ impl ShardedCosineIndex {
     /// `None` — previously spilled shards are faulted back, most recently used first.
     pub fn set_memory_budget(&mut self, memory_budget: Option<usize>) {
         self.memory_budget = memory_budget;
-    }
-
-    /// Enables or disables routing-statistics shard skipping (enabled by default).
-    ///
-    /// Skipping never changes results (see [`crate::routing`]); disabling it exists for
-    /// A/B measurement and for the equivalence test suite.
-    pub fn set_routing_enabled(&mut self, enabled: bool) {
-        self.routing = enabled;
-    }
-
-    /// `true` when routing-statistics shard skipping is active.
-    pub fn routing_enabled(&self) -> bool {
-        self.routing
     }
 
     /// Pruning/fault/quantization counters: the scan fields describe **the most recent
@@ -834,9 +810,9 @@ impl ShardedCosineIndex {
     ///
     /// To warm up, set a residency budget (or none) and [`ShardedCosineIndex::compact`]
     /// — the regular LRU policy then faults the hot shards resident. The loaded index
-    /// starts with routing enabled, no memory budget, a disabled query cache, and fresh
-    /// counters/epoch; search results are id- and score-identical to the saved index in
-    /// every configuration.
+    /// starts with no memory budget, a disabled query cache, and fresh counters/epoch;
+    /// search results are id- and score-identical to the saved index in every
+    /// configuration.
     ///
     /// A directory published by [`ShardedCosineIndex::save_delta_snapshot`] loads
     /// through its base chain automatically ([`crate::delta`]) — still cold, still
@@ -1204,9 +1180,8 @@ impl ShardedCosineIndex {
     /// (ties broken by ascending stable id) — the dense [`crate::CosineIndex::top_k`]
     /// contract.
     ///
-    /// Delegates to [`Self::knn_join`] with a single query (one shard-scoring/merge
-    /// implementation to keep correct), so the shards still fan out across threads and
-    /// routing-based skipping applies.
+    /// Delegates to [`Self::knn_join`] with a single query (one scan implementation to
+    /// keep correct), so routing-based skipping applies.
     pub fn top_k(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         if k == 0 || self.is_empty() {
             return Vec::new();
@@ -1227,26 +1202,19 @@ impl ShardedCosineIndex {
     /// Retrieves, for every query vector, its `k` nearest live vectors, returning the
     /// candidate pair list `(query_index, stable_id, score)`.
     ///
-    /// Queries fan out across threads in `QUERY_TILE` (256)-row blocks. Within a block,
-    /// the shard scan depends on the routing switch:
+    /// Queries fan out across threads in `QUERY_TILE` (256)-row blocks. Each block
+    /// visits the shards *sequentially* in decreasing order of their cosine upper bound,
+    /// sharing one set of per-query bounded heaps, and skips every shard that provably
+    /// cannot place a row in any query's top-k. A skipped shard's matrix is never
+    /// touched — a spilled one is never read from disk. Sequential scanning is what
+    /// makes the bound effective: the heaps tighten after the most promising shard, so
+    /// cold shards prune. Query tiles (the dominant axis of join workloads) run in
+    /// parallel.
     ///
-    /// * **Routing enabled** (the default) — the block visits all shards *sequentially*
-    ///   in decreasing order of their cosine upper bound, sharing one set of per-query
-    ///   bounded heaps, and skips every shard that provably cannot place a row in any
-    ///   query's top-k. A skipped shard's matrix is never touched — a spilled one is
-    ///   never read from disk. Sequential scanning is what makes the bound effective:
-    ///   the heaps tighten after the most promising shard, so cold shards prune. Query
-    ///   tiles (the dominant axis of join workloads) still run in parallel.
-    /// * **Routing disabled** — shards fan out in up to `MERGE_GROUPS` contiguous
-    ///   groups scored in parallel, each with its own heaps (memory: groups x block
-    ///   rows x k candidates); the group-local top-k lists then merge through the same
-    ///   selector. This is the layout-throughput mode for workloads where nothing can
-    ///   prune (and the A/B baseline for the routing tests).
-    ///
-    /// Output ordering matches the dense [`crate::CosineIndex::knn_join`] either way:
-    /// query index, then descending score (ascending id on ties) — selection is a total
-    /// order, so neither the grouping nor the pruning is visible in results (see
-    /// [`crate::routing`] for the admissibility argument).
+    /// Output ordering matches the dense [`crate::CosineIndex::knn_join`]: query index,
+    /// then descending score (ascending id on ties) — selection is a total order, so the
+    /// pruning is not visible in results (see [`crate::routing`] for the admissibility
+    /// argument).
     ///
     /// # Panics
     /// Panics when a query's dimension disagrees with the index dimension.
@@ -1291,105 +1259,14 @@ impl ShardedCosineIndex {
         } else {
             None
         };
-        let dim = self.dim;
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let group_size = self.shards.len().div_ceil(MERGE_GROUPS).max(1);
         let all_shards: Vec<usize> = (0..self.shards.len()).collect();
-        let per_block: Vec<Vec<(usize, usize, f32)>> = queries
-            .par_chunks(QUERY_TILE)
-            .enumerate()
-            .map(|(block_idx, block)| {
-                let base = block_idx * QUERY_TILE;
-                let (q_block, inv_norms) =
-                    pack_query_block("ShardedCosineIndex::knn_join (query)", base, block, dim);
-                let quant_queries = QuantQueries::new(&q_block, &inv_norms);
-                let selectors = if self.routing {
-                    // One shared selector set, best-bound-first scan with pruning.
-                    let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                    self.offer_shards_routed(
-                        block,
-                        &q_block,
-                        &inv_norms,
-                        &quant_queries,
-                        &mut selectors,
-                        stamp,
-                        &all_shards,
-                    );
-                    selectors
-                } else {
-                    // Rayon-parallel per-shard-group products, each with its own bounded
-                    // heaps, merged deterministically.
-                    let per_group: Vec<Vec<Vec<Neighbor>>> = self
-                        .shards
-                        .par_chunks(group_size)
-                        .enumerate()
-                        .map(|(group_idx, group)| {
-                            let mut selectors: Vec<TopK> =
-                                (0..block.len()).map(|_| TopK::new(k)).collect();
-                            for (j, shard) in group.iter().enumerate() {
-                                if shard.live > 0 && !shard.is_quarantined() {
-                                    self.counters.visited.fetch_add(1, Ordering::Relaxed);
-                                    if !shard.storage.is_resident() {
-                                        self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    if let Err(e) = self.offer_shard(
-                                        shard,
-                                        &q_block,
-                                        &inv_norms,
-                                        &quant_queries,
-                                        &mut selectors,
-                                    ) {
-                                        self.quarantine(group_idx * group_size + j, e);
-                                    }
-                                }
-                                shard.last_used.store(stamp, Ordering::Relaxed);
-                            }
-                            selectors.into_iter().map(TopK::into_sorted).collect()
-                        })
-                        .collect();
-                    let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                    for group_hits in per_group {
-                        for (r, hits) in group_hits.into_iter().enumerate() {
-                            for hit in hits {
-                                selectors[r].offer(hit.id, hit.score);
-                            }
-                        }
-                    }
-                    selectors
-                };
-                let mut pairs = Vec::with_capacity(block.len() * k);
-                for (r, selector) in selectors.into_iter().enumerate() {
-                    pairs.extend(
-                        selector
-                            .into_sorted()
-                            .into_iter()
-                            .map(|h| (base + r, h.id, h.score)),
-                    );
-                }
-                pairs
-            })
-            .collect();
-        let pairs: Vec<(usize, usize, f32)> = per_block.into_iter().flatten().collect();
-        // Shards that were skipped as quarantined — whether they entered the join that
-        // way or failed during it — made this answer incomplete.
-        let quarantined_shards: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.live > 0 && s.is_quarantined())
-            .map(|(i, _)| i)
-            .collect();
-        let degraded = !quarantined_shards.is_empty();
+        let outcome = self.scan(queries, k, &all_shards);
         if let Some(key) = cache_key {
-            if !degraded {
-                self.cache.insert(key, self.epoch(), pairs.clone());
+            if !outcome.degraded {
+                self.cache.insert(key, self.epoch(), outcome.pairs.clone());
             }
         }
-        JoinOutcome {
-            pairs,
-            degraded,
-            quarantined_shards,
-        }
+        outcome
     }
 
     /// [`Self::knn_join_report`] restricted to a subset of **shard positions** — the
@@ -1431,6 +1308,16 @@ impl ShardedCosineIndex {
         if k == 0 || self.is_empty() || queries.is_empty() || subset.is_empty() {
             return JoinOutcome::default();
         }
+        self.scan(queries, k, &subset)
+    }
+
+    /// The one shard scan behind both joins: fans `queries` out in `QUERY_TILE`-row
+    /// tiles, runs the routed scan of [`Self::offer_shards_routed`] over the sorted,
+    /// deduplicated shard `positions` for each tile, and drains the per-query
+    /// selectors into `(query_index, stable_id, score)` pairs. `quarantined_shards`
+    /// lists the live shards among `positions` that are quarantined — whether they
+    /// entered the join that way or failed during it.
+    fn scan(&self, queries: &[Vec<f32>], k: usize, positions: &[usize]) -> JoinOutcome {
         let dim = self.dim;
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let per_block: Vec<Vec<(usize, usize, f32)>> = queries
@@ -1440,41 +1327,15 @@ impl ShardedCosineIndex {
                 let base = block_idx * QUERY_TILE;
                 let (q_block, inv_norms) =
                     pack_query_block("ShardedCosineIndex::knn_join (query)", base, block, dim);
-                let quant_queries = QuantQueries::new(&q_block, &inv_norms);
                 let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                if self.routing {
-                    // Same best-bound-first pruning scan as the whole-index join,
-                    // considering only the subset.
-                    self.offer_shards_routed(
-                        block,
-                        &q_block,
-                        &inv_norms,
-                        &quant_queries,
-                        &mut selectors,
-                        stamp,
-                        &subset,
-                    );
-                } else {
-                    for &i in &subset {
-                        let shard = &self.shards[i];
-                        if shard.live > 0 && !shard.is_quarantined() {
-                            self.counters.visited.fetch_add(1, Ordering::Relaxed);
-                            if !shard.storage.is_resident() {
-                                self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if let Err(e) = self.offer_shard(
-                                shard,
-                                &q_block,
-                                &inv_norms,
-                                &quant_queries,
-                                &mut selectors,
-                            ) {
-                                self.quarantine(i, e);
-                            }
-                        }
-                        shard.last_used.store(stamp, Ordering::Relaxed);
-                    }
-                }
+                self.offer_shards_routed(
+                    block,
+                    &q_block,
+                    &inv_norms,
+                    &mut selectors,
+                    stamp,
+                    positions,
+                );
                 let mut pairs = Vec::with_capacity(block.len() * k);
                 for (r, selector) in selectors.into_iter().enumerate() {
                     pairs.extend(
@@ -1488,15 +1349,14 @@ impl ShardedCosineIndex {
             })
             .collect();
         let pairs: Vec<(usize, usize, f32)> = per_block.into_iter().flatten().collect();
-        let quarantined_shards: Vec<usize> = subset
+        let quarantined_shards: Vec<usize> = positions
             .iter()
             .copied()
             .filter(|&i| self.shards[i].live > 0 && self.shards[i].is_quarantined())
             .collect();
-        let degraded = !quarantined_shards.is_empty();
         JoinOutcome {
             pairs,
-            degraded,
+            degraded: !quarantined_shards.is_empty(),
             quarantined_shards,
         }
     }
@@ -1664,17 +1524,16 @@ impl ShardedCosineIndex {
     /// query's retained `k`-th best score (minus the float slack) is skipped without
     /// touching its matrix. The whole-index join passes every position; the
     /// scatter-gather subset join passes its subset.
-    #[allow(clippy::too_many_arguments)]
     fn offer_shards_routed(
         &self,
         block: &[Vec<f32>],
         q_block: &Matrix,
         inv_norms: &[f32],
-        quant_queries: &QuantQueries<'_>,
         selectors: &mut [TopK],
         stamp: u64,
         candidates: &[usize],
     ) {
+        let quant_queries = QuantQueries::new(q_block, inv_norms);
         // Upper bound per (shard, query): one small dot against the shard centroid —
         // negligible next to the `rows x dim` GEMM it can save.
         let mut order: Vec<(usize, f32, Vec<f32>)> = candidates
@@ -1717,7 +1576,7 @@ impl ShardedCosineIndex {
             if !shard.storage.is_resident() {
                 self.counters.faults.fetch_add(1, Ordering::Relaxed);
             }
-            if let Err(e) = self.offer_shard(shard, q_block, inv_norms, quant_queries, selectors) {
+            if let Err(e) = self.offer_shard(shard, q_block, inv_norms, &quant_queries, selectors) {
                 self.quarantine(i, e);
             }
             shard.last_used.store(stamp, Ordering::Relaxed);
@@ -1962,6 +1821,7 @@ mod tests {
 
     #[test]
     fn memory_budget_spills_cold_shards_without_changing_results() {
+        let _s = crate::storage::tests::fault_lock();
         let corpus = vectors(60, 8, 15);
         let queries = vectors(12, 8, 16);
         let resident = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -1987,6 +1847,7 @@ mod tests {
 
     #[test]
     fn raising_or_removing_the_budget_restores_residency_on_compact() {
+        let _s = crate::storage::tests::fault_lock();
         let corpus = vectors(40, 8, 27);
         let queries = vectors(6, 8, 28);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2012,6 +1873,7 @@ mod tests {
 
     #[test]
     fn spilled_tail_shard_faults_back_for_ingestion() {
+        let _s = crate::storage::tests::fault_lock();
         let mut index = ShardedCosineIndex::from_vectors(&vectors(5, 4, 18), 4);
         index.set_memory_budget(Some(0));
         index.compact();
@@ -2036,6 +1898,7 @@ mod tests {
 
     #[test]
     fn routing_prunes_far_shards_and_spares_their_disk_reads() {
+        let _s = crate::storage::tests::fault_lock();
         // Shard 0 carries rows aligned with the query; later shards are orthogonal.
         let mut corpus: Vec<Vec<f32>> = (0..8)
             .map(|i| vec![1.0, 0.001 * i as f32, 0.0, 0.0])
@@ -2067,20 +1930,13 @@ mod tests {
         );
         assert!(report.spill_faults < 4, "pruning must save disk reads");
 
-        // Same query with routing disabled: identical results, zero pruning.
-        index.set_routing_enabled(false);
-        index.reset_routing_report();
-        assert_eq!(index.knn_join(&query, 4), hits);
-        let unrouted = index.routing_report();
-        assert_eq!(unrouted.shards_pruned, 0);
-        assert_eq!(
-            unrouted.spill_faults, 4,
-            "without routing every shard faults"
-        );
+        // Pruning is invisible in results: the dense build answers identically.
+        assert_eq!(hits, CosineIndex::build(corpus).knn_join(&query, 4));
     }
 
     #[test]
     fn clone_of_a_spilled_index_is_resident_and_identical() {
+        let _s = crate::storage::tests::fault_lock();
         let corpus = vectors(30, 6, 23);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 4);
         index.set_memory_budget(Some(0));
@@ -2104,6 +1960,7 @@ mod tests {
 
     #[test]
     fn unreadable_shard_quarantines_degrades_and_compact_drops_it() {
+        let _s = crate::storage::tests::fault_lock();
         let corpus = vectors(24, 6, 31);
         let queries = vectors(5, 6, 32);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2113,9 +1970,10 @@ mod tests {
         assert_eq!(index.num_spilled_shards(), 3);
         destroy_spill_file(&index, 1);
 
-        // Routing must not hide the fault: force every shard to be visited.
-        index.set_routing_enabled(false);
-        let outcome = index.knn_join_report(&queries, 4);
+        // Routing must not hide the fault: at k = corpus size no selector ever fills,
+        // so nothing can prune and every shard is visited.
+        let k = corpus.len();
+        let outcome = index.knn_join_report(&queries, k);
         assert!(outcome.degraded, "a lost shard must flag the join degraded");
         assert_eq!(outcome.quarantined_shards, vec![1]);
         assert!(
@@ -2141,7 +1999,7 @@ mod tests {
         // A repeated degraded join skips the quarantined shard without re-quarantining:
         // the per-join quarantine counter is 0 (no new event this join), while the
         // quarantine *state* still lists the shard.
-        let again = index.knn_join_report(&queries, 4);
+        let again = index.knn_join_report(&queries, k);
         assert_eq!(again, outcome);
         assert_eq!(index.routing_report().shards_quarantined, 0);
         assert_eq!(index.routing_report().quarantined_shards, vec![1]);
@@ -2151,7 +2009,7 @@ mod tests {
         index.compact();
         assert_eq!(index.len(), 16);
         assert!(index.quarantined_shards().is_empty());
-        let healed = index.knn_join_report(&queries, 4);
+        let healed = index.knn_join_report(&queries, k);
         assert!(!healed.degraded);
         let mut surviving = corpus[..8].to_vec();
         surviving.extend_from_slice(&corpus[16..]);
@@ -2166,7 +2024,7 @@ mod tests {
         };
         assert_eq!(
             scores(&healed.pairs),
-            scores(&fresh.knn_join(&queries, 4)),
+            scores(&fresh.knn_join(&queries, k)),
             "post-drop answers must match an index that never held the lost rows"
         );
     }
@@ -2224,6 +2082,7 @@ mod tests {
     /// tallies. They are per-join now; cache hit/miss tallies stay cumulative.
     #[test]
     fn scan_counters_describe_one_join_cache_counters_accumulate() {
+        let _s = crate::storage::tests::fault_lock();
         let corpus = vectors(48, 8, 61);
         let queries = vectors(6, 8, 62);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2255,6 +2114,7 @@ mod tests {
 
     #[test]
     fn quantized_join_is_bit_identical_and_counts_its_scans() {
+        let _s = crate::storage::tests::fault_lock();
         let corpus = vectors(100, 16, 71);
         let queries = vectors(9, 16, 72);
         let dense = ShardedCosineIndex::from_vectors(&corpus, 16);
@@ -2297,5 +2157,77 @@ mod tests {
         assert_eq!(quantized.num_quantized_shards(), 0);
         assert_eq!(quantized.knn_join(&queries, 5), pairs);
         assert_eq!(quantized.routing_report().quant_scans, 0);
+    }
+
+    /// Merges per-subset top-k lists through the shared selector, exactly as a
+    /// scatter-gather coordinator does, and returns the pairs in join order.
+    fn merge_subset_joins(
+        index: &ShardedCosineIndex,
+        queries: &[Vec<f32>],
+        k: usize,
+        parts: &[Vec<usize>],
+    ) -> Vec<(usize, usize, f32)> {
+        let mut selectors: Vec<TopK> = queries.iter().map(|_| TopK::new(k)).collect();
+        for part in parts {
+            let outcome = index.knn_join_subset_report(queries, k, part);
+            assert!(!outcome.degraded, "subset {part:?} degraded");
+            for (q, id, score) in outcome.pairs {
+                selectors[q].offer(id, score);
+            }
+        }
+        selectors
+            .into_iter()
+            .enumerate()
+            .flat_map(|(q, selector)| {
+                selector
+                    .into_sorted()
+                    .into_iter()
+                    .map(move |h| (q, h.id, h.score))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_subset_joins_reproduce_the_whole_index_join_bit_for_bit() {
+        let _s = crate::storage::tests::fault_lock();
+        let corpus = vectors(70, 8, 81);
+        let queries = vectors(11, 8, 82);
+        let k = 6;
+        let resident = ShardedCosineIndex::from_vectors(&corpus, 8);
+        let spilled = ShardedCosineIndex::from_vectors_with_budget(&corpus, 8, Some(0));
+        let mut quantized = ShardedCosineIndex::from_vectors(&corpus, 8);
+        quantized.set_quantization(Some(QuantSpec::default()));
+        quantized.set_memory_budget(Some(0));
+        quantized.compact();
+        assert_eq!(spilled.num_spilled_shards(), spilled.num_shards());
+        assert_eq!(quantized.num_quantized_shards(), quantized.num_shards());
+
+        let n = resident.num_shards();
+        assert_eq!(n, 9);
+        let singletons: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let halves = vec![(0..n / 2).collect(), (n / 2..n).collect()];
+        let with_duplicates = vec![vec![0, 2, 0, 4, 2], vec![8, 1, 1, 3], vec![5, 7, 6, 7, 5]];
+        for (name, index) in [
+            ("resident", &resident),
+            ("spilled", &spilled),
+            ("quantized spilled", &quantized),
+        ] {
+            let whole = index.knn_join(&queries, k);
+            for (partition, parts) in [
+                ("singletons", &singletons),
+                ("halves", &halves),
+                ("duplicates", &with_duplicates),
+            ] {
+                let merged = merge_subset_joins(index, &queries, k, parts);
+                assert_eq!(merged.len(), whole.len(), "{name} / {partition}");
+                for (got, want) in merged.iter().zip(whole.iter()) {
+                    assert_eq!(
+                        (got.0, got.1, got.2.to_bits()),
+                        (want.0, want.1, want.2.to_bits()),
+                        "{name} / {partition}: merged subsets diverged from the whole join"
+                    );
+                }
+            }
+        }
     }
 }

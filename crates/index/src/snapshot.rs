@@ -630,7 +630,6 @@ fn read_sharded_body(dir: &Path, r: &mut impl Read) -> io::Result<ShardedCosineI
         live,
         shards,
         memory_budget: None,
-        routing: true,
         spill_dir: None,
         clock: AtomicU64::new(0),
         counters: RoutingCounters::default(),

@@ -1770,8 +1770,10 @@ pub(crate) mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard};
 
-    /// Failpoints are process-global; tests arming them serialize here and disarm on
-    /// drop so parallel test threads never observe each other's faults.
+    /// Failpoints are process-global, so every test that arms them *or* touches spill
+    /// files (spilling, reading spilled shards, snapshots) serializes here — a test
+    /// reading a spill file while another has `spill.read.io_err` armed would see
+    /// its faults. Arming tests also disarm on drop through [`DisarmGuard`].
     pub(crate) fn fault_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -1805,6 +1807,7 @@ pub(crate) mod tests {
 
     #[test]
     fn spill_round_trip_is_byte_identical() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let spilled = SpilledShard::write(&dir, &matrix).expect("spill");
@@ -1824,6 +1827,7 @@ pub(crate) mod tests {
 
     #[test]
     fn storage_transitions_preserve_the_matrix_and_account_bytes() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let bytes = matrix.data().len() * 4;
@@ -1854,6 +1858,7 @@ pub(crate) mod tests {
 
     #[test]
     fn files_and_directory_are_cleaned_up_on_drop() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let dir_path = dir.path().to_path_buf();
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
@@ -1874,6 +1879,7 @@ pub(crate) mod tests {
 
     #[test]
     fn open_is_non_owning_and_validates_length() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let owned = SpilledShard::write(&dir, &matrix).expect("spill");
@@ -1909,6 +1915,7 @@ pub(crate) mod tests {
 
     #[test]
     fn corrupted_magic_is_rejected() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
         let mut bytes = fs::read(&spilled.path).unwrap();
@@ -1921,6 +1928,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_flipped_payload_bit_fails_the_crc() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
         let mut bytes = fs::read(&spilled.path).unwrap();
@@ -1943,6 +1951,7 @@ pub(crate) mod tests {
 
     #[test]
     fn vanished_spill_file_is_a_typed_io_error_with_the_path() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
         fs::remove_file(&spilled.path).unwrap();
@@ -1976,6 +1985,7 @@ pub(crate) mod tests {
 
     #[test]
     fn quantized_spill_round_trip_is_byte_identical_on_both_tiers() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let exact = fixture_matrix();
         let quant = QuantizedMatrix::quantize(&exact);
@@ -2024,6 +2034,7 @@ pub(crate) mod tests {
 
     #[test]
     fn quantized_storage_transitions_account_both_tiers() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let exact = fixture_matrix();
         let bytes = exact.data().len() * 4;
@@ -2069,6 +2080,7 @@ pub(crate) mod tests {
 
     #[test]
     fn corrupt_quantized_payloads_fail_typed_like_dense_ones() {
+        let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let exact = fixture_matrix();
         let quant = QuantizedMatrix::quantize(&exact);

@@ -5,8 +5,10 @@
 //! shape — torn manifest, republished base, geometry drift — must reject with a
 //! typed error instead of serving a stitched-together corpus.
 //!
-//! Failpoints are process-global; the tests that arm them serialize on one mutex
-//! and disarm on exit via a guard (same discipline as `crash_consistency.rs`).
+//! Failpoints are process-global, so every test here — each one publishes snapshots
+//! that an armed `delta.manifest.torn` would tear — serializes on one mutex, and the
+//! test that arms it disarms on exit via a guard (same discipline as
+//! `crash_consistency.rs`).
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -77,6 +79,7 @@ fn assert_bit_identical(
 /// rewrites **zero** payloads, an append-only delta rewrites only the tail.
 #[test]
 fn a_delta_chain_of_adds_removes_and_compact_loads_like_a_full_snapshot() {
+    let _serial = fault_lock();
     let dims = 8;
     let base_dir = delta_dir("chain-base");
     let adds_dir = delta_dir("chain-adds");
@@ -197,6 +200,7 @@ fn a_torn_delta_manifest_is_rejected_typed() {
 /// says so instead of pairing the delta's shard table with foreign payloads.
 #[test]
 fn a_republished_base_invalidates_the_chain_with_a_typed_error() {
+    let _serial = fault_lock();
     let base_dir = delta_dir("repub-base");
     let head_dir = delta_dir("repub-head");
     let _cleanup = DirCleanup(vec![base_dir.clone(), head_dir.clone()]);
@@ -228,6 +232,7 @@ fn a_republished_base_invalidates_the_chain_with_a_typed_error() {
 /// all `InvalidInput` — caught before any byte is written.
 #[test]
 fn delta_publish_misuse_is_rejected_before_writing() {
+    let _serial = fault_lock();
     let base_dir = delta_dir("misuse-base");
     let full_dir = delta_dir("misuse-full");
     let _cleanup = DirCleanup(vec![base_dir.clone(), full_dir.clone()]);
@@ -269,6 +274,7 @@ fn delta_publish_misuse_is_rejected_before_writing() {
 /// (`save_snapshot` over a former delta dir must not leave a stale chain).
 #[test]
 fn full_saves_clean_up_stale_delta_manifests() {
+    let _serial = fault_lock();
     let base_dir = delta_dir("stale-base");
     let head_dir = delta_dir("stale-head");
     let _cleanup = DirCleanup(vec![base_dir.clone(), head_dir.clone()]);

@@ -310,12 +310,21 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
     }
 
+    /// Reads `num` rows of `dim` little-endian `f32`s that must fill the rest of the
+    /// body exactly. Rows of dimension 0 are rejected when `num > 0`: they occupy no
+    /// bytes, so the length check alone would let a 13-byte frame claim `u32::MAX`
+    /// rows and abort the process on the preallocation.
     fn f32_rows(
         &mut self,
         num: usize,
         dim: usize,
         what: &str,
     ) -> Result<Vec<Vec<f32>>, ProtocolError> {
+        if dim == 0 && num > 0 {
+            return Err(ProtocolError::Malformed(format!(
+                "{what} claims {num} rows of dimension 0"
+            )));
+        }
         let expected = num
             .checked_mul(dim)
             .and_then(|f| f.checked_mul(4))
@@ -327,7 +336,8 @@ impl<'a> Reader<'a> {
                 self.at + expected,
             )));
         }
-        let mut rows = Vec::with_capacity(num);
+        // Never preallocate more rows than the remaining bytes can hold.
+        let mut rows = Vec::with_capacity(num.min(self.remaining() / 4));
         for _ in 0..num {
             let mut row = Vec::with_capacity(dim);
             for _ in 0..dim {
@@ -1138,5 +1148,42 @@ mod tests {
         assert_eq!(Response::Busy.encode(), vec![0x02]);
         let error = Response::Error("no".into());
         assert_eq!(error.encode(), vec![0x01, 2, 0, 0, 0, b'n', b'o']);
+    }
+
+    /// Rows of dimension 0 take no bytes, so a frame can claim `u32::MAX` of them and
+    /// still match its byte length; allocating those rows aborts the process. Every
+    /// decoder sharing the row reader must answer a typed error instead.
+    #[test]
+    fn golden_zero_dimension_row_bombs_are_malformed_not_aborts() {
+        let is_dim0_error = |decoded: Result<(), ProtocolError>| match decoded {
+            Err(ProtocolError::Malformed(msg)) => msg.contains("dimension 0"),
+            _ => false,
+        };
+        // KNN request: opcode 0x01 · k=5 · num=u32::MAX · dim=0 — 13 bytes, no rows.
+        let knn_bomb = [0x01, 5, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0];
+        assert!(is_dim0_error(Request::decode(&knn_bomb).map(drop)));
+        // KNN_SUBSET request: opcode 0x04 · k=5 · shards [0] · num=u32::MAX · dim=0.
+        let subset_bomb = [
+            0x04, 5, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0,
+        ];
+        assert!(is_dim0_error(Request::decode(&subset_bomb).map(drop)));
+        // EMBED response: status 0x00 · num=u32::MAX · dim=0.
+        let embed_bomb = [0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0];
+        assert!(is_dim0_error(
+            Response::decode(&embed_bomb, RequestKind::Embed).map(drop)
+        ));
+
+        // An empty batch (num=0, dim=0) stays legal in both directions.
+        let empty = Request::Knn {
+            queries: vec![],
+            k: 5,
+        };
+        assert_eq!(empty.encode(), [0x01, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(Request::decode(&empty.encode()).unwrap(), empty);
+        let no_vectors = Response::Embeddings(vec![]);
+        assert_eq!(
+            Response::decode(&no_vectors.encode(), RequestKind::Embed).unwrap(),
+            no_vectors
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Chaos leg for the serving stack: concurrent clients while failpoints fire on spill
 //! reads and socket writes, durable faults that quarantine shards, a one-at-a-time
-//! sweep over every registered failpoint, and deterministic load-shed / deadline
-//! behavior. Throughout: no handler panics, connections stay usable, degraded
+//! sweep over every registered failpoint, a hostile zero-dimension frame, and
+//! deterministic load-shed / deadline behavior. Throughout: no handler panics, connections stay usable, degraded
 //! responses are flagged, and results are bit-identical whenever nothing is armed.
 //!
 //! The scatter-gather failover cases live here too: a replica killed or wedged
@@ -15,6 +15,7 @@
 //! serializes on one mutex, disarming on exit (panic included) via a guard.
 
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -23,7 +24,10 @@ use std::time::Duration;
 use sudowoodo::coord::{Coordinator, CoordinatorConfig, LocalCluster};
 use sudowoodo::faults;
 use sudowoodo::index::{BlockingIndex, ShardedCosineIndex};
-use sudowoodo::serve::{ClientConfig, RetryPolicy, ServeClient, Server, ServerConfig};
+use sudowoodo::serve::protocol::{read_frame, write_frame, RequestKind};
+use sudowoodo::serve::{
+    ClientConfig, Request, Response, RetryPolicy, ServeClient, Server, ServerConfig,
+};
 
 fn fault_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -231,6 +235,57 @@ fn every_registered_failpoint_armed_alone_leaves_the_server_answering() {
         assert!(!pairs.is_empty() || queries.is_empty(), "{point}");
         server.shutdown();
     }
+}
+
+#[test]
+fn a_zero_dimension_row_bomb_gets_a_typed_error_and_the_server_keeps_serving() {
+    let _serial = fault_lock();
+    let _disarm = DisarmGuard;
+    let (server, _dir) = spawn_spilled_server(5, ServerConfig::default());
+    let reference = BlockingIndex::build(vectors(120, 8, 5), Some(16));
+    let queries = vectors(3, 8, 700);
+    let expected = reference.knn_join(&queries, 3);
+
+    // The 13-byte KNN frame: opcode 0x01 · k=5 · num=u32::MAX · dim=0. Its rows take
+    // no bytes, so only the decoder's dimension check stands between it and a
+    // u32::MAX-row preallocation that would abort the whole serving process.
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let bomb = [0x01, 5, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0];
+    write_frame(&mut raw, &bomb).expect("send");
+    let reply = read_frame(&mut raw)
+        .expect("read")
+        .expect("a reply, not a hangup");
+    match Response::decode(&reply, RequestKind::Knn).expect("decodable reply") {
+        Response::Error(msg) => assert!(msg.contains("dimension 0"), "got: {msg}"),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+
+    // The same connection still answers PING and KNN ...
+    write_frame(&mut raw, &Request::Ping.encode()).expect("send ping");
+    let pong = read_frame(&mut raw).expect("read").expect("pong");
+    assert_eq!(
+        Response::decode(&pong, RequestKind::Ping).expect("decode"),
+        Response::Pong
+    );
+    let knn = Request::Knn {
+        queries: queries.clone(),
+        k: 3,
+    };
+    write_frame(&mut raw, &knn.encode()).expect("send knn");
+    let answer = read_frame(&mut raw).expect("read").expect("knn reply");
+    assert_eq!(
+        Response::decode(&answer, RequestKind::Knn).expect("decode"),
+        Response::Knn {
+            pairs: expected.clone(),
+            degraded: false
+        }
+    );
+
+    // ... and so does a fresh client.
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    client.ping().expect("ping");
+    assert_eq!(client.knn_join(&queries, 3).expect("knn"), expected);
+    server.shutdown();
 }
 
 #[test]
