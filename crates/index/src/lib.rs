@@ -16,9 +16,11 @@
 //!   ingestion (`add_batch` / `remove` / `compact`) and stable row ids. Same results as
 //!   the dense index over the same rows; built for corpora that grow, shrink, or exceed
 //!   one matrix.
-//! * [`storage::ShardStorage`] — where a shard's matrix lives: resident in memory, or
-//!   spilled to a compact on-disk format under the index's least-recently-used residency
-//!   budget, faulted back only when a query actually needs the shard.
+//! * [`storage::ShardStorage`] — where a shard's payload lives: resident in memory
+//!   (with its i8 tier when quantized), or spilled under the index's
+//!   least-recently-used residency budget to one [`storage::SpilledShard`] file in
+//!   either on-disk format, served through one validating reader that maps the file
+//!   only when a query actually needs the shard.
 //! * [`routing::RoutingStats`] — per-shard centroid/radius statistics giving an
 //!   admissible upper bound on any row's cosine score, used to skip (and never fault in)
 //!   shards that provably cannot enter the current top-k.
@@ -53,6 +55,6 @@ pub use routing::RoutingStats;
 pub use sharded::{JoinOutcome, QuantSpec, RemoveError, RoutingReport, ShardedCosineIndex};
 pub use snapshot::MANIFEST_FILE;
 pub use storage::{
-    QuantSpilledShard, QuantizedMatrix, QuantizedRow, ShardStorage, SpillDir, SpilledShard,
-    StorageError, StorageErrorKind,
+    QuantizedMatrix, QuantizedRow, ShardStorage, SpillDir, SpilledShard, StorageError,
+    StorageErrorKind,
 };

@@ -310,7 +310,7 @@ impl Shard {
         // verified mapping) instead of faulting a heap copy per tile; the kernels
         // are identical either way, so scores stay bit-identical.
         let payload = self.storage.query_payload()?;
-        let sims = q_block.matmul_transpose_b_view(&payload.view());
+        let sims = q_block.matmul_transpose_b_view(&payload);
         for (r, selector) in selectors.iter_mut().enumerate() {
             let inv = inv_norms[r];
             let row = sims.row(r);
@@ -880,7 +880,10 @@ impl ShardedCosineIndex {
                 Some(s) if s.ids.len() < self.shard_capacity => self.shard_capacity - s.ids.len(),
                 _ => {
                     self.shards.push(Shard {
-                        storage: ShardStorage::Resident(Matrix::zeros(0, dim)),
+                        storage: ShardStorage::Resident {
+                            exact: Matrix::zeros(0, dim),
+                            quant: None,
+                        },
                         ids: Vec::new(),
                         deleted: Vec::new(),
                         live: 0,
@@ -1062,7 +1065,10 @@ impl ShardedCosineIndex {
             let stats = RoutingStats::compute(&matrix, &deleted);
             let recency = chunk.iter().map(|&(_, _, r)| r).max().unwrap_or(0);
             self.shards.push(Shard {
-                storage: ShardStorage::Resident(matrix),
+                storage: ShardStorage::Resident {
+                    exact: matrix,
+                    quant: None,
+                },
                 ids: chunk.iter().map(|(id, _, _)| *id).collect(),
                 deleted,
                 live: chunk.len(),
@@ -1498,8 +1504,7 @@ impl ShardedCosineIndex {
         }
         // For a spilled shard this faults exact rows through the shared mapping (page
         // cache, not heap) — the resident scanning footprint stays the i8 tier.
-        let payload = shard.storage.query_payload()?;
-        let view = payload.view();
+        let view = shard.storage.query_payload()?;
         let padded = padded_rows(rescore.len());
         let mut data = Vec::with_capacity(padded * dim);
         for &row in &rescore {
@@ -1951,11 +1956,8 @@ mod tests {
     /// Deletes the spill file backing shard `i` out from under the index — the
     /// durable-fault fixture (retries cannot help; the shard must quarantine).
     fn destroy_spill_file(index: &ShardedCosineIndex, i: usize) {
-        match &index.shards[i].storage {
-            ShardStorage::Spilled(s) => std::fs::remove_file(s.file_path()).unwrap(),
-            ShardStorage::QuantSpilled(s) => std::fs::remove_file(s.file_path()).unwrap(),
-            _ => panic!("shard {i} is not spilled"),
-        }
+        let path = index.shards[i].storage.spill_file();
+        std::fs::remove_file(path.unwrap_or_else(|| panic!("shard {i} is not spilled"))).unwrap();
     }
 
     #[test]

@@ -71,8 +71,9 @@
 //! preceding byte — a manifest torn by a crash mid-write (or bit-rotted on disk) is
 //! rejected with a typed error instead of being half-parsed. Payload file lengths are
 //! validated against the manifest at load time
-//! ([`crate::storage::SpilledShard::open`]), the `SWSHARD1` header and payload CRC are
-//! re-verified on every fault, and a shard whose payload fails validation is loaded
+//! ([`crate::storage::SpilledShard::open`]), the payload header and CRC are verified
+//! before any byte of a payload is served, and a shard whose payload fails validation
+//! is loaded
 //! **quarantined** (see [`crate::JoinOutcome`]) so one corrupt file degrades — not
 //! aborts — the snapshot: the readable shards serve while the quarantined ones wait
 //! for a `compact()` to recover or drop them.
@@ -90,10 +91,7 @@ use crate::cache::QueryCache;
 use crate::knn::CosineIndex;
 use crate::routing::RoutingStats;
 use crate::sharded::{QuantSpec, RoutingCounters, Shard, ShardedCosineIndex};
-use crate::storage::{
-    crc32, same_file, write_matrix_file, write_quant_matrix_file, QuantSpilledShard, ShardStorage,
-    SpilledShard,
-};
+use crate::storage::{crc32, same_file, write_payload_file, ShardStorage, SpilledShard};
 
 /// File name of the snapshot manifest inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.swidx";
@@ -243,7 +241,7 @@ pub(crate) struct ShardRecord {
 /// `prev_id` threads the cross-shard ascending-id check; errors name `manifest`.
 pub(crate) fn read_shard_record(
     manifest: &Path,
-    r: &mut impl Read,
+    r: &mut io::Cursor<Vec<u8>>,
     i: usize,
     dim: usize,
     shard_capacity: usize,
@@ -277,9 +275,20 @@ pub(crate) fn read_shard_record(
             ),
         ));
     }
-    // `n` is now bounded by next_id (ids are distinct and below it), so this
-    // preallocation cannot be driven huge by a corrupt count alone; the payload
-    // length check in `SpilledShard::open` catches inflated `rows`.
+    // The bounds above come from the same untrusted manifest, so before allocating
+    // for `n` slots check that the manifest still holds their ids (8 bytes each) and
+    // tombstone bits; a hostile count is then a clean error, not a huge allocation.
+    // The payload length check in `SpilledShard::open` catches inflated `rows`.
+    let left = (r.get_ref().len() as u64).saturating_sub(r.position());
+    let needed = n
+        .checked_mul(8)
+        .and_then(|ids| ids.checked_add(n.div_ceil(8)));
+    if needed.is_none_or(|needed| needed as u64 > left) {
+        return Err(corrupt_at(
+            manifest,
+            format!("shard {i} claims {n} rows but the manifest has {left} bytes left"),
+        ));
+    }
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
         let id = r_usize(r)?;
@@ -364,23 +373,12 @@ pub(crate) fn open_payload_quarantining(
             dir.display()
         );
     };
-    if quantized {
-        match QuantSpilledShard::open(payload.clone(), rows, cols) {
-            Ok(opened) => (ShardStorage::QuantSpilled(opened), false),
-            Err(e) => {
-                warn(e.with_shard(i));
-                let unchecked = QuantSpilledShard::open_unchecked(payload, rows, cols);
-                (ShardStorage::QuantSpilled(unchecked), true)
-            }
-        }
-    } else {
-        match SpilledShard::open(payload.clone(), rows, cols) {
-            Ok(opened) => (ShardStorage::Spilled(opened), false),
-            Err(e) => {
-                warn(e.with_shard(i));
-                let unchecked = SpilledShard::open_unchecked(payload, rows, cols);
-                (ShardStorage::Spilled(unchecked), true)
-            }
+    match SpilledShard::open(payload.clone(), quantized, rows, cols) {
+        Ok(opened) => (ShardStorage::Spilled(opened), false),
+        Err(e) => {
+            warn(e.with_shard(i));
+            let unchecked = SpilledShard::open_unchecked(payload, quantized, rows, cols);
+            (ShardStorage::Spilled(unchecked), true)
         }
     }
 }
@@ -409,42 +407,17 @@ pub(crate) fn save_sharded(index: &ShardedCosineIndex, dir: &Path) -> io::Result
                 ),
             )
         };
-        match &shard.storage {
-            ShardStorage::Resident(matrix) => {
-                write_file_atomic(&dest, |tmp| write_matrix_file(tmp, matrix))?;
+        if let Some(backing) = shard.storage.spill_file() {
+            if same_file(backing, &dest) {
+                // Saving a snapshot-loaded index back into its own directory: the
+                // payload is already exactly this file.
+                continue;
             }
-            ShardStorage::QuantResident { quant, exact } => {
-                write_file_atomic(&dest, |tmp| write_quant_matrix_file(tmp, quant, exact))?;
-            }
-            ShardStorage::Spilled(spilled) => {
-                if same_file(spilled.file_path(), &dest) {
-                    // Saving a snapshot-loaded index back into its own directory: the
-                    // payload is already exactly this file.
-                    continue;
-                }
-                if spilled
-                    .file_path()
-                    .parent()
-                    .is_some_and(|p| same_file(p, dir))
-                {
-                    return Err(refuse_same_dir(spilled.file_path()));
-                }
-                write_file_atomic(&dest, |tmp| spilled.copy_to(tmp))?;
-            }
-            ShardStorage::QuantSpilled(spilled) => {
-                if same_file(spilled.file_path(), &dest) {
-                    continue;
-                }
-                if spilled
-                    .file_path()
-                    .parent()
-                    .is_some_and(|p| same_file(p, dir))
-                {
-                    return Err(refuse_same_dir(spilled.file_path()));
-                }
-                write_file_atomic(&dest, |tmp| spilled.copy_to(tmp))?;
+            if backing.parent().is_some_and(|p| same_file(p, dir)) {
+                return Err(refuse_same_dir(backing));
             }
         }
+        write_file_atomic(&dest, |tmp| shard.storage.write_to(tmp))?;
     }
     // The manifest body is built in memory (it is O(shards), small next to the
     // payloads) so the CRC-32 trailer covers exactly the bytes written and a torn
@@ -479,7 +452,7 @@ pub(crate) fn save_sharded(index: &ShardedCosineIndex, dir: &Path) -> io::Result
 pub(crate) fn save_dense(index: &CosineIndex, dir: &Path) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     write_file_atomic(&dir.join(DENSE_PAYLOAD), |tmp| {
-        write_matrix_file(tmp, index.matrix())
+        write_payload_file(tmp, index.matrix(), None)
     })?;
     let mut w: Vec<u8> = Vec::new();
     w.write_all(MAGIC)?;
@@ -579,7 +552,7 @@ pub(crate) fn load_sharded(dir: &Path) -> io::Result<ShardedCosineIndex> {
     read_sharded_body(dir, &mut r)
 }
 
-fn read_sharded_body(dir: &Path, r: &mut impl Read) -> io::Result<ShardedCosineIndex> {
+fn read_sharded_body(dir: &Path, r: &mut io::Cursor<Vec<u8>>) -> io::Result<ShardedCosineIndex> {
     let dim = r_usize(r)?;
     let shard_capacity = r_usize(r)?;
     let next_id = r_usize(r)?;
@@ -661,7 +634,7 @@ pub(crate) fn load_blocking(dir: &Path) -> io::Result<BlockingIndex> {
             // payload *is* the whole index, so it fails the load with a typed error
             // (with the storage layer's retry backoff for transient faults).
             let payload: PathBuf = dir.join(DENSE_PAYLOAD);
-            let matrix: Matrix = SpilledShard::open(payload, rows, dim)?.load_retrying()?;
+            let matrix: Matrix = SpilledShard::open(payload, false, rows, dim)?.load_retrying()?;
             Ok(BlockingIndex::Dense(CosineIndex::from_normalized_parts(
                 matrix, len,
             )))

@@ -3,11 +3,11 @@
 //! ROADMAP names "spill cold shards to disk / mmap" as the next scale step after the
 //! in-memory sharded layout: a streaming corpus eventually exceeds RAM, but most shards
 //! are *cold* — they hold old rows that rarely win a top-k slot. This module gives every
-//! shard matrix a [`ShardStorage`] home with two states:
+//! shard payload a [`ShardStorage`] home with two states:
 //!
-//! * [`ShardStorage::Resident`] — the row-major [`Matrix`] in memory (the only state
-//!   that existed before this layer);
-//! * [`ShardStorage::Spilled`] — the same matrix serialized to a compact on-disk file
+//! * [`ShardStorage::Resident`] — the row-major [`Matrix`] in memory, next to its i8
+//!   tier ([`QuantizedMatrix`]) when the shard is quantized;
+//! * [`ShardStorage::Spilled`] — the same payload serialized to a compact on-disk file
 //!   ([`SpilledShard`]), read back on demand when a query actually needs the shard.
 //!
 //! Which shards spill is decided by [`crate::ShardedCosineIndex`]'s residency budget
@@ -18,8 +18,8 @@
 //!
 //! ## On-disk format
 //!
-//! A spill file is the shard matrix and nothing else, laid out for a single sequential
-//! read:
+//! A spill file is the shard payload and nothing else. A plain shard is written as
+//! `SWSHARD1`, laid out for a single sequential read:
 //!
 //! ```text
 //! offset  size           field
@@ -33,11 +33,12 @@
 //! The payload is the matrix buffer bit-for-bit (including the zero padding rows up to
 //! the SIMD row-quad width), so a spilled-then-faulted shard scores queries **bit
 //! identically** to its resident twin — the dense/sharded equivalence contract survives
-//! spilling. The CRC trailer is verified on every fault, so silent on-disk corruption
-//! (a flipped bit, a truncated-then-padded file) surfaces as a typed [`StorageError`]
-//! instead of wrong similarity scores. Files live in a per-index temporary directory
-//! ([`SpillDir`]) that is removed when the index is dropped; individual files are
-//! removed as soon as their shard is repacked or faulted back to residency.
+//! spilling. The CRC trailer is verified whenever a file is read, so silent on-disk
+//! corruption (a flipped bit, a truncated-then-padded file) surfaces as a typed
+//! [`StorageError`] instead of wrong similarity scores. Files live in a per-index
+//! temporary directory ([`SpillDir`]) that is removed when the index is dropped;
+//! individual files are removed as soon as their shard is repacked or faulted back to
+//! residency.
 //!
 //! The same format doubles as the per-shard **payload format of persistent snapshots**
 //! ([`crate::snapshot`]): a snapshot shard file is byte-identical to a spill file, so a
@@ -66,20 +67,32 @@
 //! end-4             4              CRC-32 (ISO-HDLC) of every preceding byte
 //! ```
 //!
-//! The exact payload sits at a 4-byte-aligned offset so the mmap query path
-//! ([`MappedQuantShard`]) reinterprets it in place exactly like `SWSHARD1`; the codes
-//! and scales are decoded into a small heap copy once per handle ([`QuantSpilledShard`])
-//! — a quarter the bytes of the f32 payload, which is the whole memory-density point.
-//! Torn or corrupt `SWSHARDQ1` files fail with the same typed [`StorageError`]s as
-//! `SWSHARD1`, so snapshot loads quarantine them identically.
+//! ## One handle, one reader
+//!
+//! A [`SpilledShard`] serves both formats: it records which one its file holds, and one
+//! private layout table gives each format's magic, shape offset, exact-tier offset and
+//! file length (in checked arithmetic, so a hostile shape from a snapshot manifest is
+//! corruption, not an overflow). Every read goes through one validating reader that
+//! checks the file length, magic, header shape and CRC-32 trailer, in that order, and
+//! yields a [`MappedPayload`] — a read-only `mmap(2)` of the file on little-endian Unix,
+//! a heap copy elsewhere. On top of it:
+//!
+//! * [`SpilledShard::mapped`] caches the validated mapping for the query path, which
+//!   borrows the exact f32 tier out of it with zero copies (the tier sits at a 4-byte
+//!   aligned offset in both formats);
+//! * [`SpilledShard::load`] copies the exact tier out of a freshly validated mapping,
+//!   so every call re-validates;
+//! * [`SpilledShard::quant`] decodes a `SWSHARDQ1` file's codes and scales from the
+//!   cached mapping into a small heap copy once per handle — a quarter the bytes of the
+//!   f32 payload, which is the whole memory-density point.
 //!
 //! ## Failure model
 //!
 //! Every fault path returns a typed [`StorageError`] naming the file (and, one layer
 //! up, the shard id) instead of panicking: a vanished spill file or a corrupt payload
 //! degrades the query that needed it, never the process. [`SpilledShard::load_retrying`]
-//! wraps the single-attempt read with a short exponential backoff for transient
-//! failures; callers that still fail after the retries quarantine the shard (see
+//! and [`SpilledShard::mapped`] retry transient failures with a short exponential
+//! backoff; callers that still fail after the retries quarantine the shard (see
 //! [`crate::ShardedCosineIndex`]). The fault-injection points of this module
 //! (`spill.read.io_err`, `spill.write.io_err`, `snapshot.payload.torn`) are armed
 //! through [`sudowoodo_faults`] and compile to one relaxed atomic load when disarmed.
@@ -87,7 +100,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -96,14 +109,68 @@ use std::time::Duration;
 use sudowoodo_faults as faults;
 use sudowoodo_nn::matrix::{Matrix, MatrixView};
 
-/// Magic prefix of a spill file; the trailing `1` is the format version.
+/// Magic prefix of a plain spill file; the trailing `1` is the format version.
 const MAGIC: &[u8; 8] = b"SWSHARD1";
 
-/// Byte length of the spill-file header (magic + rows + cols).
+/// Byte length of the plain spill-file header (magic + rows + cols).
 const HEADER_LEN: usize = 8 + 8 + 8;
+
+/// Magic prefix of a quantized payload file; the trailing `1` is the format version.
+const QMAGIC: &[u8; 9] = b"SWSHARDQ1";
+
+/// Byte length of the quantized-file header: magic (9) + zero pad (7) + rows (8) +
+/// cols (8) + max_err_norm (4) + max_row_norm (4). A multiple of 4, so the scales and
+/// the exact f32 payload that follow are 4-byte aligned from the page-aligned mmap base.
+const QHEADER_LEN: usize = 9 + 7 + 8 + 8 + 4 + 4;
 
 /// Byte length of the CRC-32 trailer at the end of a spill file.
 const TRAILER_LEN: usize = 4;
+
+/// Where the sections of a `rows x cols` payload file sit, for either format.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    magic: &'static [u8],
+    rows: usize,
+    cols: usize,
+    /// Offset of the `rows`/`cols` header fields (two little-endian u64s).
+    shape_at: usize,
+    /// Offset of the exact row-major f32 tier (4-byte aligned in both formats).
+    exact_at: usize,
+    /// Total file length, CRC-32 trailer included.
+    len: usize,
+}
+
+impl Layout {
+    /// The layout of a `SWSHARDQ1` (`quantized`) or `SWSHARD1` payload, or `None` when
+    /// its length overflows `usize` — only a corrupt or hostile shape gets there.
+    fn of(quantized: bool, rows: usize, cols: usize) -> Option<Layout> {
+        let cells = rows.checked_mul(cols)?;
+        let (magic, shape_at, exact_at, codes_len) = if quantized {
+            let scales_end = rows.checked_mul(4)?.checked_add(QHEADER_LEN)?;
+            (&QMAGIC[..], 16, scales_end, cells)
+        } else {
+            (&MAGIC[..], 8, HEADER_LEN, 0)
+        };
+        let len = cells
+            .checked_mul(4)?
+            .checked_add(exact_at)?
+            .checked_add(codes_len)?
+            .checked_add(TRAILER_LEN)?;
+        Some(Layout {
+            magic,
+            rows,
+            cols,
+            shape_at,
+            exact_at,
+            len,
+        })
+    }
+
+    /// Offset just past the exact tier: where a quantized file's i8 codes start.
+    fn codes_at(&self) -> usize {
+        self.exact_at + self.rows * self.cols * 4
+    }
+}
 
 /// Read attempts a retrying fault makes in total (1 initial + 3 backoff retries).
 /// Strictly below [`faults::SUPPRESS_WINDOW`], so a probabilistically injected read
@@ -338,7 +405,25 @@ impl SpillDir {
     }
 }
 
-/// One shard matrix serialized to disk (see the module docs for the format).
+/// Runs `attempt` up to [`FAULT_ATTEMPTS`] times with the shared exponential backoff
+/// (1/2/4 ms) between tries. Corruption ([`StorageError::is_corrupt`]) is returned at
+/// once — the bytes will not improve; the caller should quarantine the shard.
+fn retrying<T>(mut attempt: impl FnMut() -> Result<T, StorageError>) -> Result<T, StorageError> {
+    let mut last = None;
+    for retry in 0..FAULT_ATTEMPTS {
+        if retry > 0 {
+            fault_backoff(retry - 1);
+        }
+        match attempt() {
+            Ok(value) => return Ok(value),
+            Err(e) if e.is_corrupt() => return Err(e),
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.expect("at least one attempt ran"))
+}
+
+/// One shard payload serialized to disk, in either format (see the module docs).
 ///
 /// Comes in two ownership flavours:
 ///
@@ -348,6 +433,14 @@ impl SpillDir {
 /// * **Non-owning** ([`SpilledShard::open`]) — a payload file of a persistent snapshot
 ///   ([`crate::snapshot`]); the handle reads it on demand but never deletes it, so one
 ///   snapshot directory can back any number of loaded indexes (across processes).
+///
+/// Two caches live on the handle, each established on first use. A failure is never
+/// cached — the next query retries from scratch, so a transient fault costs retries,
+/// never a permanently broken shard:
+///
+/// * `map` — the validated [`MappedPayload`] the query path borrows the exact tier from;
+/// * `quant` — a `SWSHARDQ1` file's codes, scales and norms decoded into the heap;
+///   seeded for free when the handle came from spilling a resident quantized shard.
 #[derive(Debug)]
 pub struct SpilledShard {
     /// Keeps the spill directory alive as long as any owned file in it exists (never
@@ -357,13 +450,12 @@ pub struct SpilledShard {
     path: PathBuf,
     /// Whether the file is deleted when this handle drops.
     owns_file: bool,
+    /// `true` for a `SWSHARDQ1` file, `false` for `SWSHARD1`.
+    quantized: bool,
     rows: usize,
     cols: usize,
-    /// The query-path memory mapping, established (and CRC-verified) once on first
-    /// use. A failed map is never cached — the next query retries from scratch, so a
-    /// transient fault costs retries, never a permanently broken shard.
-    #[cfg(all(unix, target_endian = "little"))]
-    map: OnceLock<MappedShard>,
+    map: OnceLock<MappedPayload>,
+    quant: OnceLock<QuantizedMatrix>,
 }
 
 impl Drop for SpilledShard {
@@ -374,33 +466,70 @@ impl Drop for SpilledShard {
     }
 }
 
-/// Serializes `matrix` into the spill-file format at `path` (see the module docs),
-/// streaming in bounded chunks so writing a large shard never doubles its memory
-/// footprint, and appending the CRC-32 trailer. Shared by the transient spill path and
-/// the snapshot writer.
+/// Streams `values` through `put` as little-endian bytes, in bounded chunks so writing
+/// a large shard never doubles its memory footprint.
+fn put_le<T: Copy, const N: usize>(
+    put: &mut impl FnMut(&[u8]) -> io::Result<()>,
+    values: &[T],
+    to_le: fn(T) -> [u8; N],
+) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(16 * 1024);
+    for chunk in values.chunks(16 * 1024 / N) {
+        buf.clear();
+        for &value in chunk {
+            buf.extend_from_slice(&to_le(value));
+        }
+        put(&buf)?;
+    }
+    Ok(())
+}
+
+/// Serializes a shard payload at `path` (see the module docs for both layouts):
+/// `SWSHARD1` for a plain shard, `SWSHARDQ1` when `quant` carries the shard's i8 tier.
+/// Appends the CRC-32 trailer. Shared by the transient spill path and the snapshot
+/// writers.
 ///
-/// Failpoint `snapshot.payload.torn`: writes the header plus roughly half the payload
-/// and errors out without the trailer — the on-disk shape of a crash mid-write.
-pub(crate) fn write_matrix_file(path: &Path, matrix: &Matrix) -> io::Result<()> {
+/// Failpoint `snapshot.payload.torn`: writes the header (plus a quantized file's scales)
+/// and roughly half the exact payload, then errors out without the codes or the
+/// trailer — the on-disk shape of a crash mid-write, for both formats through one switch.
+pub(crate) fn write_payload_file(
+    path: &Path,
+    exact: &Matrix,
+    quant: Option<&QuantizedMatrix>,
+) -> io::Result<()> {
     let torn = faults::fires("snapshot.payload.torn");
     let mut file = io::BufWriter::new(fs::File::create(path)?);
     let mut crc = Crc32::new();
-    let mut put = |file: &mut io::BufWriter<fs::File>, bytes: &[u8]| -> io::Result<()> {
+    let mut put = |bytes: &[u8]| {
         crc.update(bytes);
         file.write_all(bytes)
     };
-    put(&mut file, MAGIC)?;
-    put(&mut file, &(matrix.rows() as u64).to_le_bytes())?;
-    put(&mut file, &(matrix.cols() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(16 * 1024);
-    let data = matrix.data();
-    let keep = if torn { data.len() / 2 } else { data.len() };
-    for chunk in data[..keep].chunks(4 * 1024) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
+    match quant {
+        None => put(MAGIC)?,
+        Some(_) => {
+            put(QMAGIC)?;
+            put(&[0u8; 7])?;
         }
-        put(&mut file, &buf)?;
+    }
+    put_le(
+        &mut put,
+        &[exact.rows() as u64, exact.cols() as u64],
+        u64::to_le_bytes,
+    )?;
+    if let Some(q) = quant {
+        debug_assert_eq!((q.rows(), q.cols()), (exact.rows(), exact.cols()));
+        put_le(
+            &mut put,
+            &[q.max_err_norm(), q.max_row_norm()],
+            f32::to_le_bytes,
+        )?;
+        put_le(&mut put, q.scales(), f32::to_le_bytes)?;
+    }
+    let data = exact.data();
+    let keep = if torn { data.len() / 2 } else { data.len() };
+    put_le(&mut put, &data[..keep], f32::to_le_bytes)?;
+    if let (Some(q), false) = (quant, torn) {
+        put_le(&mut put, q.codes(), i8::to_le_bytes)?;
     }
     if torn {
         file.flush()?;
@@ -413,64 +542,74 @@ pub(crate) fn write_matrix_file(path: &Path, matrix: &Matrix) -> io::Result<()> 
 }
 
 impl SpilledShard {
-    /// Serializes `matrix` into a fresh file under `dir`. The returned handle owns the
-    /// file and deletes it on drop.
+    /// Serializes `exact` — with its i8 tier, as `SWSHARDQ1`, when `quant` is given —
+    /// into a fresh file under `dir`. The returned handle owns the file and deletes it
+    /// on drop; a quantized handle's `quant` cache is seeded from the in-memory copy, so
+    /// spilling never has to read its own file back.
     ///
     /// Failpoint `spill.write.io_err`: fails before touching the filesystem (the shard
     /// simply stays resident — spilling is an optimization).
-    pub fn write(dir: &SpillDir, matrix: &Matrix) -> io::Result<SpilledShard> {
+    pub fn write(
+        dir: &SpillDir,
+        exact: &Matrix,
+        quant: Option<&QuantizedMatrix>,
+    ) -> io::Result<SpilledShard> {
         if faults::fires("spill.write.io_err") {
             return Err(io::Error::other(
                 "failpoint spill.write.io_err: injected spill-write failure",
             ));
         }
         let path = dir.next_path();
-        write_matrix_file(&path, matrix)?;
-        Ok(SpilledShard {
-            _dir: Some(dir.clone()),
-            path,
-            owns_file: true,
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            #[cfg(all(unix, target_endian = "little"))]
-            map: OnceLock::new(),
-        })
+        write_payload_file(&path, exact, quant)?;
+        let mut shard = Self::open_unchecked(path, quant.is_some(), exact.rows(), exact.cols());
+        shard._dir = Some(dir.clone());
+        shard.owns_file = true;
+        if let Some(q) = quant {
+            let _ = shard.quant.set(q.clone());
+        }
+        Ok(shard)
     }
 
     /// Opens an existing payload file (a snapshot shard) **without taking ownership**:
     /// the file is read back on demand exactly like a spill file, but never deleted by
     /// this handle.
     ///
-    /// `rows`/`cols` are the shape recorded in the snapshot manifest; the file's own
-    /// header and CRC are verified against them on every [`SpilledShard::load`]. The
-    /// file length is checked here so a truncated snapshot fails at load time, not
-    /// mid-query.
-    pub fn open(path: PathBuf, rows: usize, cols: usize) -> Result<SpilledShard, StorageError> {
-        let expected = (HEADER_LEN + rows * cols * 4 + TRAILER_LEN) as u64;
-        let actual = fs::metadata(&path)
-            .map_err(|e| StorageError::io(&path, e))?
+    /// `quantized` (`SWSHARDQ1` vs `SWSHARD1`), `rows` and `cols` are what the snapshot
+    /// manifest records; the file's own magic, header and CRC are verified against them
+    /// whenever it is read. The file length is checked here so a truncated snapshot
+    /// fails at load time, not mid-query.
+    pub fn open(
+        path: PathBuf,
+        quantized: bool,
+        rows: usize,
+        cols: usize,
+    ) -> Result<SpilledShard, StorageError> {
+        let shard = Self::open_unchecked(path, quantized, rows, cols);
+        let len = fs::metadata(&shard.path)
+            .map_err(|e| StorageError::io(&shard.path, e))?
             .len();
-        if actual != expected {
-            return Err(StorageError::corrupt(
-                &path,
-                format!("{actual} bytes on disk, expected {expected} for a {rows}x{cols} shard"),
-            ));
-        }
-        Ok(Self::open_unchecked(path, rows, cols))
+        shard.layout(len)?;
+        Ok(shard)
     }
 
     /// Like [`SpilledShard::open`] but without touching the filesystem — for building
     /// a **quarantined** shard over a payload that already failed validation, so the
     /// rest of a snapshot can load and serve around it.
-    pub(crate) fn open_unchecked(path: PathBuf, rows: usize, cols: usize) -> SpilledShard {
+    pub(crate) fn open_unchecked(
+        path: PathBuf,
+        quantized: bool,
+        rows: usize,
+        cols: usize,
+    ) -> SpilledShard {
         SpilledShard {
             _dir: None,
             path,
             owns_file: false,
+            quantized,
             rows,
             cols,
-            #[cfg(all(unix, target_endian = "little"))]
             map: OnceLock::new(),
+            quant: OnceLock::new(),
         }
     }
 
@@ -484,68 +623,143 @@ impl SpilledShard {
         fs::copy(&self.path, dest).map(|_| ())
     }
 
-    /// Reads the shard matrix back, verifying the header against the recorded shape and
-    /// the CRC-32 trailer against every preceding byte.
-    ///
-    /// The returned matrix is bit-for-bit the one passed to [`SpilledShard::write`].
+    /// The file layout the recorded format and shape imply, checked against the
+    /// on-disk length `actual`.
+    fn layout(&self, actual: u64) -> Result<Layout, StorageError> {
+        let (rows, cols) = (self.rows, self.cols);
+        let kind = if self.quantized {
+            "quantized shard"
+        } else {
+            "shard"
+        };
+        let layout = Layout::of(self.quantized, rows, cols).ok_or_else(|| {
+            StorageError::corrupt(
+                &self.path,
+                format!("a {rows}x{cols} {kind} overflows the addressable file size"),
+            )
+        })?;
+        if actual != layout.len as u64 {
+            return Err(StorageError::corrupt(
+                &self.path,
+                format!(
+                    "{actual} bytes on disk, expected {} for a {rows}x{cols} {kind}",
+                    layout.len
+                ),
+            ));
+        }
+        Ok(layout)
+    }
+
+    /// The one validating reader: checks the file length against the recorded format
+    /// and shape, maps the file read-only, then checks the magic, the header shape,
+    /// and the CRC-32 trailer over every preceding byte.
     ///
     /// Failpoint `spill.read.io_err`: fails the attempt before opening the file (the
     /// transient-fault shape: NFS hiccup, EINTR storm, evicted page).
-    pub fn load(&self) -> Result<Matrix, StorageError> {
+    fn map_file(&self) -> Result<MappedPayload, StorageError> {
+        let ioerr = |e| StorageError::io(&self.path, e);
         if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
+            return Err(ioerr(io::Error::other(
+                "failpoint spill.read.io_err: injected spill-read failure",
+            )));
+        }
+        let file = fs::File::open(&self.path).map_err(ioerr)?;
+        let layout = self.layout(file.metadata().map_err(ioerr)?.len())?;
+        let payload = MappedPayload::new(&file, layout).map_err(ioerr)?;
+        let bytes = payload.bytes();
+        if !bytes.starts_with(layout.magic) {
+            let magic = String::from_utf8_lossy(layout.magic);
+            return Err(StorageError::corrupt(
                 &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
+                format!("bad magic (not a Sudowoodo {magic} shard file)"),
             ));
         }
-        let ioerr = |e| StorageError::io(&self.path, e);
-        let mut file = io::BufReader::new(fs::File::open(&self.path).map_err(ioerr)?);
-        let mut crc = Crc32::new();
-        let mut header = [0u8; HEADER_LEN];
-        file.read_exact(&mut header).map_err(ioerr)?;
-        crc.update(&header);
-        let corrupt = |what: &str| StorageError::corrupt(&self.path, what);
-        if &header[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a Sudowoodo shard spill file)"));
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let shape = (field(layout.shape_at), field(layout.shape_at + 8));
+        if shape != (self.rows as u64, self.cols as u64) {
+            return Err(StorageError::corrupt(
+                &self.path,
+                "header shape disagrees with the index metadata",
+            ));
         }
-        let rows = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt("header shape disagrees with the index metadata"));
-        }
-        let mut bytes = vec![0u8; rows * cols * 4];
-        file.read_exact(&mut bytes).map_err(ioerr)?;
-        crc.update(&bytes);
-        let mut trailer = [0u8; TRAILER_LEN];
-        file.read_exact(&mut trailer).map_err(ioerr)?;
-        if u32::from_le_bytes(trailer) != crc.finish() {
-            return Err(corrupt(
+        let (body, trailer) = bytes.split_at(layout.len - TRAILER_LEN);
+        if u32::from_le_bytes(trailer.try_into().unwrap()) != crc32(body) {
+            return Err(StorageError::corrupt(
+                &self.path,
                 "CRC-32 mismatch (the payload bytes changed since they were written)",
             ));
         }
-        let data: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        Ok(Matrix::from_vec(rows, cols, data))
+        Ok(payload)
+    }
+
+    /// Reads the exact matrix back out of a freshly validated mapping — every check of
+    /// the reader runs again on each call.
+    ///
+    /// The returned matrix is bit-for-bit the one passed to [`SpilledShard::write`].
+    pub fn load(&self) -> Result<Matrix, StorageError> {
+        let payload = self.map_file()?;
+        Ok(Matrix::from_vec(
+            self.rows,
+            self.cols,
+            payload.exact().to_vec(),
+        ))
     }
 
     /// [`SpilledShard::load`] with a short exponential backoff (1/2/4 ms) for transient
-    /// I/O faults. Corruption ([`StorageError::is_corrupt`]) is **not** retried — the
-    /// bytes will not improve; the caller should quarantine the shard.
+    /// I/O faults. Corruption ([`StorageError::is_corrupt`]) is **not** retried.
     pub fn load_retrying(&self) -> Result<Matrix, StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.load() {
-                Ok(matrix) => return Ok(matrix),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
+        retrying(|| self.load())
+    }
+
+    /// The shared, validated mapping of this payload, established on first use with
+    /// the same retry backoff as [`SpilledShard::load_retrying`].
+    pub fn mapped(&self) -> Result<&MappedPayload, StorageError> {
+        if let Some(mapped) = self.map.get() {
+            return Ok(mapped);
         }
-        Err(last.expect("at least one attempt ran"))
+        let fresh = retrying(|| self.map_file())?;
+        // A concurrent query may have won the race; the loser's mapping is released
+        // harmlessly (read-only — dropping a duplicate changes nothing).
+        Ok(self.map.get_or_init(|| fresh))
+    }
+
+    /// The quantized tier of a `SWSHARDQ1` file (`None` for `SWSHARD1`): codes, scales
+    /// and norms, decoded from the cached mapping into the heap on first use.
+    pub fn quant(&self) -> Option<Result<&QuantizedMatrix, StorageError>> {
+        if !self.quantized {
+            return None;
+        }
+        if let Some(q) = self.quant.get() {
+            return Some(Ok(q));
+        }
+        Some(self.mapped().map(|mapped| {
+            let (layout, bytes) = (mapped.layout, mapped.bytes());
+            let f32_le = |b: &[u8]| f32::from_le_bytes(b.try_into().unwrap());
+            let scales = bytes[QHEADER_LEN..layout.exact_at]
+                .chunks_exact(4)
+                .map(f32_le)
+                .collect();
+            let codes = bytes[layout.codes_at()..layout.len - TRAILER_LEN]
+                .iter()
+                .map(|&b| b as i8)
+                .collect();
+            let (rows, cols) = (self.rows, self.cols);
+            let fresh = QuantizedMatrix::from_parts(
+                rows,
+                cols,
+                codes,
+                scales,
+                f32_le(&bytes[32..36]),
+                f32_le(&bytes[36..40]),
+            );
+            // A concurrent scan may have won the race; both decoded the same bytes.
+            self.quant.get_or_init(|| fresh)
+        }))
+    }
+
+    /// `true` when the file is a quantized `SWSHARDQ1` payload.
+    pub fn is_quantized(&self) -> bool {
+        self.quantized
     }
 
     /// Rows of the serialized matrix (including zero padding rows).
@@ -563,116 +777,33 @@ impl SpilledShard {
     pub fn file_path(&self) -> &Path {
         &self.path
     }
-
-    /// The shared, validated memory mapping of this payload, established on first
-    /// use (see [`MappedShard`]). Failures are **never cached**: a transiently
-    /// unmappable file is retried from scratch by the next query, exactly like the
-    /// copying fault path.
-    #[cfg(all(unix, target_endian = "little"))]
-    pub fn mapped(&self) -> Result<&MappedShard, StorageError> {
-        if let Some(mapped) = self.map.get() {
-            return Ok(mapped);
-        }
-        let fresh = self.map_retrying()?;
-        // A concurrent query may have won the race; the loser's mapping is munmapped
-        // harmlessly (read-only, MAP_SHARED — dropping a duplicate changes nothing).
-        Ok(self.map.get_or_init(|| fresh))
-    }
-
-    /// [`SpilledShard::map_file`] with the shared fault-retry backoff (mirroring
-    /// [`SpilledShard::load_retrying`]); corruption is not retried.
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_retrying(&self) -> Result<MappedShard, StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.map_file() {
-                Ok(mapped) => return Ok(mapped),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// Maps the payload file read-only and validates it **once**: length against the
-    /// recorded shape, magic, header shape, and the CRC-32 trailer over every
-    /// preceding byte — the same checks [`SpilledShard::load`] performs per fault,
-    /// paid a single time for the lifetime of the mapping.
-    ///
-    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file,
-    /// exactly like the copying read path, so the chaos suites exercise both.
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_file(&self) -> Result<MappedShard, StorageError> {
-        if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
-                &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
-            ));
-        }
-        let ioerr = |e| StorageError::io(&self.path, e);
-        let corrupt = |what: &str| StorageError::corrupt(&self.path, what);
-        let file = fs::File::open(&self.path).map_err(ioerr)?;
-        let expected = HEADER_LEN + self.rows * self.cols * 4 + TRAILER_LEN;
-        let actual = file.metadata().map_err(ioerr)?.len();
-        if actual != expected as u64 {
-            return Err(corrupt(&format!(
-                "{actual} bytes on disk, expected {expected} for a {}x{} shard",
-                self.rows, self.cols
-            )));
-        }
-        let mapped = MappedShard::map(&file, expected, self.rows, self.cols).map_err(ioerr)?;
-        let bytes = mapped.bytes();
-        if &bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a Sudowoodo shard spill file)"));
-        }
-        let rows = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt("header shape disagrees with the index metadata"));
-        }
-        let body = &bytes[..expected - TRAILER_LEN];
-        let trailer: [u8; TRAILER_LEN] = bytes[expected - TRAILER_LEN..].try_into().unwrap();
-        if u32::from_le_bytes(trailer) != crc32(body) {
-            return Err(corrupt(
-                "CRC-32 mismatch (the payload bytes changed since they were written)",
-            ));
-        }
-        Ok(mapped)
-    }
 }
 
-/// A read-only `mmap(2)` of one `SWSHARD1` payload file, shared across every index
-/// (and every *process*) serving the same snapshot: the faulted pages live in the OS
-/// page cache once, instead of one heap copy per process per query tile. The header,
-/// shape, and CRC-32 trailer are verified a single time when the mapping is
-/// established ([`SpilledShard::mapped`]); after that a query borrows the `f32`
-/// payload directly out of the mapping with zero copies.
-///
-/// Only built on little-endian Unix — the on-disk floats are little-endian, so the
-/// bytes can be reinterpreted in place; elsewhere the query path transparently falls
-/// back to the copying [`SpilledShard::load_retrying`] fault.
-///
-/// The payload offset (`HEADER_LEN` = 24) is 4-byte aligned from the page-aligned
-/// mapping base, so the `f32` reinterpretation is always aligned.
-#[cfg(all(unix, target_endian = "little"))]
+/// The validated bytes of one payload file, in either format: a read-only `mmap(2)` on
+/// little-endian Unix — shared across every index (and every *process*) serving the same
+/// snapshot, so the faulted pages live in the OS page cache once instead of one heap
+/// copy per process per query tile — and a heap copy of the file elsewhere.
+/// [`SpilledShard`]'s reader verifies the header, shape and CRC-32 trailer once when it
+/// is established; after that a query borrows the exact f32 tier straight out of it
+/// ([`MappedPayload::view`]) with zero copies.
 #[derive(Debug)]
-pub struct MappedShard {
-    ptr: *const u8,
-    len: usize,
-    rows: usize,
-    cols: usize,
+pub struct MappedPayload {
+    layout: Layout,
+    /// The first of the file's `layout.len` bytes.
+    bytes: *const u8,
+    /// The exact tier's `rows * cols` native-endian, 4-byte-aligned f32s.
+    exact: *const f32,
+    /// What `bytes` and `exact` point into where the file is not mapped: the file bytes
+    /// and the exact tier decoded from them. `None` for a mapping (unmapped on drop).
+    _heap: Option<(Vec<u8>, Vec<f32>)>,
 }
 
-// SAFETY: the mapping is immutable (PROT_READ) for its whole lifetime and the
-// backing snapshot/spill files are never rewritten in place (spill paths are never
-// reused; snapshots are write-once), so concurrent reads from any thread are safe.
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Send for MappedShard {}
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Sync for MappedShard {}
+// SAFETY: the payload is immutable for its whole lifetime — a PROT_READ mapping of a
+// file that is never rewritten in place (spill paths are never reused; snapshots are
+// write-once), or heap buffers only this value owns — so concurrent reads from any
+// thread are safe.
+unsafe impl Send for MappedPayload {}
+unsafe impl Sync for MappedPayload {}
 
 #[cfg(all(unix, target_endian = "little"))]
 mod sys {
@@ -698,18 +829,20 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, target_endian = "little"))]
-impl MappedShard {
-    /// Maps `len` bytes of `file` read-only and shared. `len` is never 0 here (every
-    /// payload carries at least its 28 header + trailer bytes).
-    fn map(file: &fs::File, len: usize, rows: usize, cols: usize) -> io::Result<MappedShard> {
+impl MappedPayload {
+    /// Maps `layout.len` bytes of `file` read-only and shared (never 0: every payload
+    /// carries its header and trailer). The exact tier is reinterpreted in place: the
+    /// on-disk floats are little-endian and its offset is 4-byte aligned from the
+    /// page-aligned mapping base.
+    #[cfg(all(unix, target_endian = "little"))]
+    fn new(file: &fs::File, layout: Layout) -> io::Result<MappedPayload> {
         use std::os::unix::io::AsRawFd;
         // SAFETY: a fresh PROT_READ/MAP_SHARED mapping of a file we hold open; the
         // kernel validates the fd and length, and failure is reported via MAP_FAILED.
         let ptr = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
-                len,
+                layout.len,
                 sys::PROT_READ,
                 sys::MAP_SHARED,
                 file.as_raw_fd(),
@@ -719,47 +852,65 @@ impl MappedShard {
         if ptr == sys::MAP_FAILED {
             return Err(io::Error::last_os_error());
         }
-        Ok(MappedShard {
-            ptr: ptr as *const u8,
-            len,
-            rows,
-            cols,
+        let bytes = ptr as *const u8;
+        Ok(MappedPayload {
+            layout,
+            bytes,
+            exact: bytes.wrapping_add(layout.exact_at) as *const f32,
+            _heap: None,
         })
     }
 
-    /// The whole mapped file, header and trailer included.
+    /// Reads `layout.len` bytes of `file` into the heap and decodes the exact tier from
+    /// them — the targets without the zero-copy mapping (non-Unix, or big-endian, where
+    /// the little-endian floats cannot be reinterpreted in place) serve the same
+    /// validated bytes from a copy.
+    #[cfg(not(all(unix, target_endian = "little")))]
+    fn new(mut file: &fs::File, layout: Layout) -> io::Result<MappedPayload> {
+        use std::io::Read;
+        let mut bytes = vec![0u8; layout.len];
+        file.read_exact(&mut bytes)?;
+        let exact: Vec<f32> = bytes[layout.exact_at..layout.codes_at()]
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        Ok(MappedPayload {
+            layout,
+            bytes: bytes.as_ptr(),
+            exact: exact.as_ptr(),
+            _heap: Some((bytes, exact)),
+        })
+    }
+
+    /// The whole file, header and trailer included.
     fn bytes(&self) -> &[u8] {
-        // SAFETY: `ptr` is a live mapping of exactly `len` bytes (established in
-        // `map`, released only in `Drop`).
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        // SAFETY: `bytes` points at `layout.len` live bytes (the mapping or the heap
+        // copy), released only when `self` drops.
+        unsafe { std::slice::from_raw_parts(self.bytes, self.layout.len) }
     }
 
-    /// The row-major `f32` payload, borrowed straight out of the page cache.
-    pub fn data(&self) -> &[f32] {
-        // SAFETY: the payload spans `rows * cols` little-endian f32s starting at the
-        // 4-byte-aligned HEADER_LEN offset of the `len`-byte mapping (length was
-        // validated at map time); every bit pattern is a valid f32.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.ptr.add(HEADER_LEN) as *const f32,
-                self.rows * self.cols,
-            )
-        }
+    /// The exact row-major f32 tier, borrowed straight out of the page cache (or the
+    /// heap copy).
+    pub fn exact(&self) -> &[f32] {
+        // SAFETY: `exact` points at `rows * cols` aligned f32s inside the live mapping
+        // (whose length was validated) or the heap copy; every bit pattern is a valid
+        // f32.
+        unsafe { std::slice::from_raw_parts(self.exact, self.layout.rows * self.layout.cols) }
     }
 
-    /// The payload as a borrowed matrix view for the scoring kernels.
+    /// The exact tier as a borrowed matrix view for the scoring kernels.
     pub fn view(&self) -> MatrixView<'_> {
-        MatrixView::new(self.rows, self.cols, self.data())
+        MatrixView::new(self.layout.rows, self.layout.cols, self.exact())
     }
 }
 
 #[cfg(all(unix, target_endian = "little"))]
-impl Drop for MappedShard {
+impl Drop for MappedPayload {
     fn drop(&mut self) {
-        // SAFETY: unmapping the exact region `map` established; the pointer is never
-        // used again (self is being dropped).
+        // SAFETY: unmapping exactly the region `new` mapped; the pointers are never used
+        // again (self is being dropped).
         unsafe {
-            sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
+            sys::munmap(self.bytes as *mut std::os::raw::c_void, self.layout.len);
         }
     }
 }
@@ -775,19 +926,6 @@ pub(crate) fn same_file(a: &Path, b: &Path) -> bool {
 }
 
 // ---- i8 quantization -----------------------------------------------------------------
-
-/// Magic prefix of a quantized payload file; the trailing `1` is the format version.
-const QMAGIC: &[u8; 9] = b"SWSHARDQ1";
-
-/// Byte length of the quantized-file header: magic (9) + zero pad (7) + rows (8) +
-/// cols (8) + max_err_norm (4) + max_row_norm (4). A multiple of 4, so the scales and
-/// the exact f32 payload that follow are 4-byte aligned from the page-aligned mmap base.
-const QHEADER_LEN: usize = 9 + 7 + 8 + 8 + 4 + 4;
-
-/// Total on-disk length of a quantized payload for a `rows x cols` shard.
-fn quant_file_len(rows: usize, cols: usize) -> u64 {
-    (QHEADER_LEN + rows * 4 + rows * cols * 4 + rows * cols + TRAILER_LEN) as u64
-}
 
 /// Rounds a non-negative f64 up into an f32 that is **guaranteed ≥ the true value** —
 /// the `as f32` cast rounds to nearest, so a measured error bound could otherwise
@@ -981,541 +1119,26 @@ impl QuantizedRow {
     }
 }
 
-/// Serializes a quantized shard (both tiers) into the `SWSHARDQ1` format at `path` —
-/// see the module docs for the layout. Streams the f32 payload in bounded chunks like
-/// [`write_matrix_file`] and appends the CRC-32 trailer.
-///
-/// Failpoint `snapshot.payload.torn`: writes the header, the scales, and roughly half
-/// the exact payload, then errors out without codes or trailer — the on-disk shape of
-/// a crash mid-write, shared with the `SWSHARD1` writer so the chaos suites exercise
-/// both formats through one switch.
-pub(crate) fn write_quant_matrix_file(
-    path: &Path,
-    quant: &QuantizedMatrix,
-    exact: &Matrix,
-) -> io::Result<()> {
-    debug_assert_eq!((quant.rows(), quant.cols()), (exact.rows(), exact.cols()));
-    let torn = faults::fires("snapshot.payload.torn");
-    let mut file = io::BufWriter::new(fs::File::create(path)?);
-    let mut crc = Crc32::new();
-    let mut put = |file: &mut io::BufWriter<fs::File>, bytes: &[u8]| -> io::Result<()> {
-        crc.update(bytes);
-        file.write_all(bytes)
-    };
-    put(&mut file, QMAGIC)?;
-    put(&mut file, &[0u8; 7])?;
-    put(&mut file, &(exact.rows() as u64).to_le_bytes())?;
-    put(&mut file, &(exact.cols() as u64).to_le_bytes())?;
-    put(&mut file, &quant.max_err_norm().to_le_bytes())?;
-    put(&mut file, &quant.max_row_norm().to_le_bytes())?;
-    let mut buf = Vec::with_capacity(16 * 1024);
-    for chunk in quant.scales().chunks(4 * 1024) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        put(&mut file, &buf)?;
-    }
-    let data = exact.data();
-    let keep = if torn { data.len() / 2 } else { data.len() };
-    for chunk in data[..keep].chunks(4 * 1024) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        put(&mut file, &buf)?;
-    }
-    if torn {
-        file.flush()?;
-        return Err(io::Error::other(
-            "failpoint snapshot.payload.torn: simulated crash mid-payload",
-        ));
-    }
-    for chunk in quant.codes().chunks(16 * 1024) {
-        // SAFETY-free reinterpret: i8 and u8 have identical layout; iterate instead
-        // of transmuting to stay in safe code.
-        buf.clear();
-        buf.extend(chunk.iter().map(|&c| c as u8));
-        put(&mut file, &buf)?;
-    }
-    file.write_all(&crc.finish().to_le_bytes())?;
-    file.flush()
-}
-
-/// A quantized shard serialized to disk in the `SWSHARDQ1` format — the quantized twin
-/// of [`SpilledShard`], with the same two ownership flavours (owning spill file vs
-/// non-owning snapshot payload), the same typed-error fault model, and the same
-/// validate-once mmap query path.
-///
-/// Two lazily established caches live on the handle:
-///
-/// * `quant` — the heap copy of codes + scales (a quarter of the f32 payload bytes)
-///   that the first-stage scan reads; seeded for free when the handle was produced by
-///   spilling a resident quantized shard, decoded from the mapping (or the copying
-///   fallback) on first scan after a cold snapshot load.
-/// * `map` — the shared read-only mapping serving the **exact** f32 tier with zero
-///   copies, exactly like [`SpilledShard`]'s.
-#[derive(Debug)]
-pub struct QuantSpilledShard {
-    /// Keeps the spill directory alive as long as any owned file in it exists; `None`
-    /// for non-owning snapshot-backed handles.
-    _dir: Option<SpillDir>,
-    path: PathBuf,
-    owns_file: bool,
-    rows: usize,
-    cols: usize,
-    quant: OnceLock<QuantizedMatrix>,
-    #[cfg(all(unix, target_endian = "little"))]
-    map: OnceLock<MappedQuantShard>,
-}
-
-impl Drop for QuantSpilledShard {
-    fn drop(&mut self) {
-        if self.owns_file {
-            remove_quietly(&self.path, false);
-        }
-    }
-}
-
-impl QuantSpilledShard {
-    /// Serializes both tiers into a fresh file under `dir`. The returned handle owns
-    /// the file and deletes it on drop, and its `quant` cache is seeded from the
-    /// in-memory copy — spilling never has to read its own file back.
-    ///
-    /// Failpoint `spill.write.io_err`: fails before touching the filesystem (the shard
-    /// stays resident — spilling is an optimization).
-    pub fn write(
-        dir: &SpillDir,
-        quant: &QuantizedMatrix,
-        exact: &Matrix,
-    ) -> io::Result<QuantSpilledShard> {
-        if faults::fires("spill.write.io_err") {
-            return Err(io::Error::other(
-                "failpoint spill.write.io_err: injected spill-write failure",
-            ));
-        }
-        let path = dir.next_path();
-        write_quant_matrix_file(&path, quant, exact)?;
-        let seeded = OnceLock::new();
-        let _ = seeded.set(quant.clone());
-        Ok(QuantSpilledShard {
-            _dir: Some(dir.clone()),
-            path,
-            owns_file: true,
-            rows: exact.rows(),
-            cols: exact.cols(),
-            quant: seeded,
-            #[cfg(all(unix, target_endian = "little"))]
-            map: OnceLock::new(),
-        })
-    }
-
-    /// Opens an existing `SWSHARDQ1` payload (a snapshot shard) without taking
-    /// ownership, checking the file length against the manifest shape so a truncated
-    /// snapshot fails at load time, not mid-query.
-    pub fn open(
-        path: PathBuf,
-        rows: usize,
-        cols: usize,
-    ) -> Result<QuantSpilledShard, StorageError> {
-        let expected = quant_file_len(rows, cols);
-        let actual = fs::metadata(&path)
-            .map_err(|e| StorageError::io(&path, e))?
-            .len();
-        if actual != expected {
-            return Err(StorageError::corrupt(
-                &path,
-                format!(
-                    "{actual} bytes on disk, expected {expected} for a {rows}x{cols} quantized shard"
-                ),
-            ));
-        }
-        Ok(Self::open_unchecked(path, rows, cols))
-    }
-
-    /// Like [`QuantSpilledShard::open`] but without touching the filesystem — for
-    /// building a **quarantined** shard over a payload that already failed validation.
-    pub(crate) fn open_unchecked(path: PathBuf, rows: usize, cols: usize) -> QuantSpilledShard {
-        QuantSpilledShard {
-            _dir: None,
-            path,
-            owns_file: false,
-            rows,
-            cols,
-            quant: OnceLock::new(),
-            #[cfg(all(unix, target_endian = "little"))]
-            map: OnceLock::new(),
-        }
-    }
-
-    /// Copies the serialized payload to `dest` without deserializing it (snapshot
-    /// save path); copying a file onto itself is a no-op.
-    pub(crate) fn copy_to(&self, dest: &Path) -> io::Result<()> {
-        if same_file(&self.path, dest) {
-            return Ok(());
-        }
-        fs::copy(&self.path, dest).map(|_| ())
-    }
-
-    /// Rows of the serialized shard (including zero padding rows).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of the serialized shard.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The on-disk location of the payload.
-    pub fn file_path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Reads both tiers back, verifying magic, shape, and the CRC-32 trailer. The
-    /// returned exact matrix is bit-for-bit the one passed to
-    /// [`QuantSpilledShard::write`]; the quantized tier round-trips exactly too
-    /// (integer codes, f32 scales and norms).
-    ///
-    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file.
-    pub fn load_all(&self) -> Result<(QuantizedMatrix, Matrix), StorageError> {
-        if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
-                &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
-            ));
-        }
-        let bytes = fs::read(&self.path).map_err(|e| StorageError::io(&self.path, e))?;
-        let corrupt = |what: String| StorageError::corrupt(&self.path, what);
-        let expected = quant_file_len(self.rows, self.cols) as usize;
-        if bytes.len() != expected {
-            return Err(corrupt(format!(
-                "{} bytes on disk, expected {expected} for a {}x{} quantized shard",
-                bytes.len(),
-                self.rows,
-                self.cols
-            )));
-        }
-        if &bytes[..QMAGIC.len()] != QMAGIC {
-            return Err(corrupt(
-                "bad magic (not a Sudowoodo quantized shard file)".into(),
-            ));
-        }
-        let rows = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt(
-                "header shape disagrees with the index metadata".into(),
-            ));
-        }
-        let body = &bytes[..expected - TRAILER_LEN];
-        let trailer: [u8; TRAILER_LEN] = bytes[expected - TRAILER_LEN..].try_into().unwrap();
-        if u32::from_le_bytes(trailer) != crc32(body) {
-            return Err(corrupt(
-                "CRC-32 mismatch (the payload bytes changed since they were written)".into(),
-            ));
-        }
-        let max_err_norm = f32::from_le_bytes(bytes[32..36].try_into().unwrap());
-        let max_row_norm = f32::from_le_bytes(bytes[36..40].try_into().unwrap());
-        let scales_at = QHEADER_LEN;
-        let exact_at = scales_at + rows * 4;
-        let codes_at = exact_at + rows * cols * 4;
-        let scales: Vec<f32> = bytes[scales_at..exact_at]
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        let data: Vec<f32> = bytes[exact_at..codes_at]
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        let codes: Vec<i8> = bytes[codes_at..expected - TRAILER_LEN]
-            .iter()
-            .map(|&b| b as i8)
-            .collect();
-        Ok((
-            QuantizedMatrix::from_parts(rows, cols, codes, scales, max_err_norm, max_row_norm),
-            Matrix::from_vec(rows, cols, data),
-        ))
-    }
-
-    /// [`QuantSpilledShard::load_all`] with the shared fault-retry backoff;
-    /// corruption is not retried.
-    pub fn load_all_retrying(&self) -> Result<(QuantizedMatrix, Matrix), StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.load_all() {
-                Ok(parts) => return Ok(parts),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// The quantized tier (codes + scales + norms), decoded into the heap cache on
-    /// first use: from the validated mapping where available, through the copying
-    /// loader otherwise. Failures are never cached — the next scan retries.
-    pub fn quant(&self) -> Result<&QuantizedMatrix, StorageError> {
-        if let Some(q) = self.quant.get() {
-            return Ok(q);
-        }
-        let fresh;
-        #[cfg(all(unix, target_endian = "little"))]
-        {
-            let mapped = self.mapped()?;
-            fresh = QuantizedMatrix::from_parts(
-                self.rows,
-                self.cols,
-                mapped.codes().to_vec(),
-                mapped.scales().to_vec(),
-                mapped.max_err_norm(),
-                mapped.max_row_norm(),
-            );
-        }
-        #[cfg(not(all(unix, target_endian = "little")))]
-        {
-            fresh = self.load_all_retrying()?.0;
-        }
-        // A concurrent scan may have won the race; both decoded the same bytes.
-        Ok(self.quant.get_or_init(|| fresh))
-    }
-
-    /// The **exact** f32 tier for the rescore stage and the legacy full-scan path:
-    /// borrowed from the shared mapping where available, a copying fault otherwise.
-    pub fn exact_payload(&self) -> Result<ShardData<'_>, StorageError> {
-        #[cfg(all(unix, target_endian = "little"))]
-        {
-            self.mapped().map(|m| ShardData::Borrowed(m.view()))
-        }
-        #[cfg(not(all(unix, target_endian = "little")))]
-        {
-            self.load_all_retrying().map(|(_, m)| ShardData::Owned(m))
-        }
-    }
-
-    /// The shared, validated memory mapping (see [`SpilledShard::mapped`] — same
-    /// never-cache-failures contract).
-    #[cfg(all(unix, target_endian = "little"))]
-    pub(crate) fn mapped(&self) -> Result<&MappedQuantShard, StorageError> {
-        if let Some(mapped) = self.map.get() {
-            return Ok(mapped);
-        }
-        let fresh = self.map_retrying()?;
-        Ok(self.map.get_or_init(|| fresh))
-    }
-
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_retrying(&self) -> Result<MappedQuantShard, StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.map_file() {
-                Ok(mapped) => return Ok(mapped),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// Maps the payload read-only and validates it **once** (length, magic, shape,
-    /// CRC over every preceding byte), mirroring [`SpilledShard::map_file`].
-    ///
-    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file.
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_file(&self) -> Result<MappedQuantShard, StorageError> {
-        if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
-                &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
-            ));
-        }
-        let ioerr = |e| StorageError::io(&self.path, e);
-        let corrupt = |what: &str| StorageError::corrupt(&self.path, what);
-        let file = fs::File::open(&self.path).map_err(ioerr)?;
-        let expected = quant_file_len(self.rows, self.cols) as usize;
-        let actual = file.metadata().map_err(ioerr)?.len();
-        if actual != expected as u64 {
-            return Err(corrupt(&format!(
-                "{actual} bytes on disk, expected {expected} for a {}x{} quantized shard",
-                self.rows, self.cols
-            )));
-        }
-        let mapped = MappedQuantShard::map(&file, expected, self.rows, self.cols).map_err(ioerr)?;
-        let bytes = mapped.bytes();
-        if &bytes[..QMAGIC.len()] != QMAGIC {
-            return Err(corrupt("bad magic (not a Sudowoodo quantized shard file)"));
-        }
-        let rows = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt("header shape disagrees with the index metadata"));
-        }
-        let body = &bytes[..expected - TRAILER_LEN];
-        let trailer: [u8; TRAILER_LEN] = bytes[expected - TRAILER_LEN..].try_into().unwrap();
-        if u32::from_le_bytes(trailer) != crc32(body) {
-            return Err(corrupt(
-                "CRC-32 mismatch (the payload bytes changed since they were written)",
-            ));
-        }
-        Ok(mapped)
-    }
-}
-
-/// A read-only `mmap(2)` of one `SWSHARDQ1` payload file — [`MappedShard`]'s quantized
-/// twin. Validated once at map time; after that the exact f32 tier is borrowed
-/// straight out of the page cache (its offset is 4-byte aligned by the format's header
-/// padding) and the i8 codes/scales are copied out once into the handle's heap cache.
-#[cfg(all(unix, target_endian = "little"))]
-#[derive(Debug)]
-pub struct MappedQuantShard {
-    ptr: *const u8,
-    len: usize,
-    rows: usize,
-    cols: usize,
-}
-
-// SAFETY: same argument as `MappedShard` — PROT_READ for the whole lifetime, backing
-// files are write-once, so concurrent reads from any thread are safe.
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Send for MappedQuantShard {}
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Sync for MappedQuantShard {}
-
-#[cfg(all(unix, target_endian = "little"))]
-impl MappedQuantShard {
-    fn map(file: &fs::File, len: usize, rows: usize, cols: usize) -> io::Result<MappedQuantShard> {
-        use std::os::unix::io::AsRawFd;
-        // SAFETY: a fresh PROT_READ/MAP_SHARED mapping of a file we hold open; failure
-        // is reported via MAP_FAILED.
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr == sys::MAP_FAILED {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(MappedQuantShard {
-            ptr: ptr as *const u8,
-            len,
-            rows,
-            cols,
-        })
-    }
-
-    /// The whole mapped file, header and trailer included.
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: `ptr` is a live mapping of exactly `len` bytes.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// Worst-row reconstruction error norm recorded in the header.
-    fn max_err_norm(&self) -> f32 {
-        f32::from_le_bytes(self.bytes()[32..36].try_into().unwrap())
-    }
-
-    /// Worst-row magnitude recorded in the header.
-    fn max_row_norm(&self) -> f32 {
-        f32::from_le_bytes(self.bytes()[36..40].try_into().unwrap())
-    }
-
-    /// The per-row scales section.
-    fn scales(&self) -> &[f32] {
-        // SAFETY: the scales span `rows` little-endian f32s at the 4-byte-aligned
-        // QHEADER_LEN offset of the validated `len`-byte mapping.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(QHEADER_LEN) as *const f32, self.rows) }
-    }
-
-    /// The i8 codes section, row-major.
-    fn codes(&self) -> &[i8] {
-        let at = QHEADER_LEN + self.rows * 4 + self.rows * self.cols * 4;
-        // SAFETY: the codes span `rows * cols` bytes at offset `at` of the validated
-        // mapping; i8 has alignment 1 and every bit pattern is valid.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(at) as *const i8, self.rows * self.cols) }
-    }
-
-    /// The exact row-major f32 tier, borrowed straight out of the page cache.
-    pub fn data(&self) -> &[f32] {
-        let at = QHEADER_LEN + self.rows * 4;
-        // SAFETY: the exact payload spans `rows * cols` little-endian f32s at the
-        // 4-byte-aligned offset `at` (header and scales are both multiples of 4);
-        // every bit pattern is a valid f32.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(at) as *const f32, self.rows * self.cols) }
-    }
-
-    /// The exact tier as a borrowed matrix view for the scoring kernels.
-    pub fn view(&self) -> MatrixView<'_> {
-        MatrixView::new(self.rows, self.cols, self.data())
-    }
-}
-
-#[cfg(all(unix, target_endian = "little"))]
-impl Drop for MappedQuantShard {
-    fn drop(&mut self) {
-        // SAFETY: unmapping the exact region `map` established.
-        unsafe {
-            sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
-        }
-    }
-}
-
-/// What [`ShardStorage::query_payload`] hands the scoring kernels: a zero-copy view
-/// whenever the payload has a stable home (resident matrix, established mapping), an
-/// owned fault only on targets without the mapping.
-#[derive(Debug)]
-pub enum ShardData<'a> {
-    /// Borrowed straight from resident memory or the shared mapping.
-    Borrowed(MatrixView<'a>),
-    /// A copying fault (non-Unix / big-endian fallback).
-    Owned(Matrix),
-}
-
-impl ShardData<'_> {
-    /// The payload as a [`MatrixView`], whichever arm holds it.
-    pub fn view(&self) -> MatrixView<'_> {
-        match self {
-            ShardData::Borrowed(v) => *v,
-            ShardData::Owned(m) => m.view(),
-        }
-    }
-}
-
-/// Where a shard's row matrix currently lives.
+/// Where a shard's payload currently lives.
 ///
 /// The surrounding shard metadata (stable ids, tombstones, routing statistics) always
-/// stays resident — only the `rows x dim` float payload spills, because that is where
+/// stays resident — only the `rows x dim` payload spills, because that is where
 /// virtually all of a shard's memory goes.
 #[derive(Debug)]
 pub enum ShardStorage {
-    /// The matrix is in memory (the hot state; also the only state the pre-spill index
-    /// ever had).
-    Resident(Matrix),
-    /// The matrix is on disk and is read back per use.
-    Spilled(SpilledShard),
-    /// Both tiers of a quantized shard are in memory: the i8 codes the first-stage
-    /// scan reads and the exact f32 matrix the rescore tier reads.
-    QuantResident {
-        /// The i8 codes + per-row scales + measured error norms.
-        quant: QuantizedMatrix,
-        /// The exact f32 payload — the bit-identical source of truth for rescoring,
-        /// mutation, and snapshots.
+    /// The payload is in memory (the hot state).
+    Resident {
+        /// The exact f32 matrix — the bit-identical source of truth for scoring,
+        /// rescoring, mutation, and snapshots.
         exact: Matrix,
+        /// The i8 codes + per-row scales + measured error norms the first-stage scan
+        /// reads, when the shard is quantized.
+        quant: Option<QuantizedMatrix>,
     },
-    /// A quantized shard on disk in the `SWSHARDQ1` format; the small quantized tier
-    /// is decoded into a heap cache on first scan, the exact tier is served through
-    /// the shared mapping.
-    QuantSpilled(QuantSpilledShard),
+    /// The payload (both tiers when quantized) is on disk and read back per use; the
+    /// small quantized tier is decoded into a heap cache on first scan, the exact tier
+    /// is served through the shared mapping.
+    Spilled(SpilledShard),
 }
 
 impl Clone for ShardStorage {
@@ -1530,20 +1153,16 @@ impl Clone for ShardStorage {
     /// [`crate::ShardedCosineIndex`] clone.
     fn clone(&self) -> Self {
         match self {
-            ShardStorage::Resident(m) => ShardStorage::Resident(m.clone()),
-            ShardStorage::Spilled(s) => ShardStorage::Resident(
-                s.load_retrying()
-                    .unwrap_or_else(|e| panic!("ShardStorage::clone: {e}")),
-            ),
-            ShardStorage::QuantResident { quant, exact } => ShardStorage::QuantResident {
-                quant: quant.clone(),
+            ShardStorage::Resident { exact, quant } => ShardStorage::Resident {
                 exact: exact.clone(),
+                quant: quant.clone(),
             },
-            ShardStorage::QuantSpilled(s) => {
-                let (quant, exact) = s
-                    .load_all_retrying()
-                    .unwrap_or_else(|e| panic!("ShardStorage::clone: {e}"));
-                ShardStorage::QuantResident { quant, exact }
+            ShardStorage::Spilled(s) => {
+                let faulted = s.load_retrying().and_then(|exact| {
+                    let quant = s.quant().transpose()?.cloned();
+                    Ok(ShardStorage::Resident { exact, quant })
+                });
+                faulted.unwrap_or_else(|e| panic!("ShardStorage::clone: {e}"))
             }
         }
     }
@@ -1553,20 +1172,16 @@ impl ShardStorage {
     /// Rows of the stored matrix (including zero padding rows).
     pub fn rows(&self) -> usize {
         match self {
-            ShardStorage::Resident(m) => m.rows(),
+            ShardStorage::Resident { exact, .. } => exact.rows(),
             ShardStorage::Spilled(s) => s.rows(),
-            ShardStorage::QuantResident { exact, .. } => exact.rows(),
-            ShardStorage::QuantSpilled(s) => s.rows(),
         }
     }
 
     /// Columns of the stored matrix.
     pub fn cols(&self) -> usize {
         match self {
-            ShardStorage::Resident(m) => m.cols(),
+            ShardStorage::Resident { exact, .. } => exact.cols(),
             ShardStorage::Spilled(s) => s.cols(),
-            ShardStorage::QuantResident { exact, .. } => exact.cols(),
-            ShardStorage::QuantSpilled(s) => s.cols(),
         }
     }
 
@@ -1579,18 +1194,15 @@ impl ShardStorage {
 
     /// `true` when the exact payload is in memory.
     pub fn is_resident(&self) -> bool {
-        matches!(
-            self,
-            ShardStorage::Resident(_) | ShardStorage::QuantResident { .. }
-        )
+        matches!(self, ShardStorage::Resident { .. })
     }
 
     /// `true` when this storage carries a quantized tier (resident or spilled).
     pub fn is_quantized(&self) -> bool {
-        matches!(
-            self,
-            ShardStorage::QuantResident { .. } | ShardStorage::QuantSpilled(_)
-        )
+        match self {
+            ShardStorage::Resident { quant, .. } => quant.is_some(),
+            ShardStorage::Spilled(s) => s.is_quantized(),
+        }
     }
 
     /// Bytes of **exact f32** payload currently held in memory (0 when spilled) — the
@@ -1600,10 +1212,8 @@ impl ShardStorage {
     /// routing statistics.
     pub fn resident_bytes(&self) -> usize {
         match self {
-            ShardStorage::Resident(m) => std::mem::size_of_val(m.data()),
+            ShardStorage::Resident { exact, .. } => std::mem::size_of_val(exact.data()),
             ShardStorage::Spilled(_) => 0,
-            ShardStorage::QuantResident { exact, .. } => std::mem::size_of_val(exact.data()),
-            ShardStorage::QuantSpilled(_) => 0,
         }
     }
 
@@ -1611,11 +1221,11 @@ impl ShardStorage {
     /// for quantized spills whose cache has not been decoded yet — what the
     /// memory-density bench sums against [`ShardStorage::payload_bytes`].
     pub fn quantized_payload_bytes(&self) -> usize {
-        match self {
-            ShardStorage::QuantResident { quant, .. } => quant.heap_bytes(),
-            ShardStorage::QuantSpilled(s) => s.quant.get().map_or(0, |q| q.heap_bytes()),
-            _ => 0,
-        }
+        let quant = match self {
+            ShardStorage::Resident { quant, .. } => quant.as_ref(),
+            ShardStorage::Spilled(s) => s.quant.get(),
+        };
+        quant.map_or(0, QuantizedMatrix::heap_bytes)
     }
 
     /// The quantized tier for the first-stage scan: `None` for plain f32 storage,
@@ -1627,9 +1237,8 @@ impl ShardStorage {
     /// caller quarantines the shard exactly like an exact-tier fault.
     pub fn quant(&self) -> Option<Result<&QuantizedMatrix, StorageError>> {
         match self {
-            ShardStorage::QuantResident { quant, .. } => Some(Ok(quant)),
-            ShardStorage::QuantSpilled(s) => Some(s.quant()),
-            _ => None,
+            ShardStorage::Resident { quant, .. } => quant.as_ref().map(Ok),
+            ShardStorage::Spilled(s) => s.quant(),
         }
     }
 
@@ -1643,21 +1252,16 @@ impl ShardStorage {
     /// query (quarantine) or the whole operation.
     pub fn matrix(&self) -> Result<Cow<'_, Matrix>, StorageError> {
         match self {
-            ShardStorage::Resident(m) => Ok(Cow::Borrowed(m)),
+            ShardStorage::Resident { exact, .. } => Ok(Cow::Borrowed(exact)),
             ShardStorage::Spilled(s) => s.load_retrying().map(Cow::Owned),
-            ShardStorage::QuantResident { exact, .. } => Ok(Cow::Borrowed(exact)),
-            ShardStorage::QuantSpilled(s) => s.load_all_retrying().map(|(_, m)| Cow::Owned(m)),
         }
     }
 
-    /// The **query-path** payload: a borrowed view for resident shards, the shared
-    /// validated memory mapping for spilled ones ([`SpilledShard::mapped`]) — so a
-    /// spilled shard's working set is OS page cache shared across every process
-    /// serving the same snapshot, not a fresh heap copy per query tile. On targets
-    /// without the mapping (non-Unix or big-endian) the spilled arm transparently
-    /// falls back to the copying fault, bit-identically. Quantized storage serves its
-    /// **exact** tier here — this is what the rescore stage (and any full scan)
-    /// scores against.
+    /// The **query-path** view of the exact tier: borrowed from resident memory, or
+    /// from the shared validated mapping of a spilled shard ([`SpilledShard::mapped`]) —
+    /// so a spilled shard's working set is OS page cache shared across every process
+    /// serving the same snapshot, not a fresh heap copy per query tile. This is what
+    /// the rescore stage (and any full scan) scores against.
     ///
     /// Mutating paths (compaction, ingestion, cloning) keep using
     /// [`ShardStorage::matrix`] / [`ShardStorage::make_resident`].
@@ -1665,102 +1269,73 @@ impl ShardStorage {
     /// # Errors
     /// Same contract as [`ShardStorage::matrix`]: the shard stayed unreadable (or
     /// unmappable) through the retries.
-    pub fn query_payload(&self) -> Result<ShardData<'_>, StorageError> {
+    pub fn query_payload(&self) -> Result<MatrixView<'_>, StorageError> {
         match self {
-            ShardStorage::Resident(m) => Ok(ShardData::Borrowed(m.view())),
-            #[cfg(all(unix, target_endian = "little"))]
-            ShardStorage::Spilled(s) => s.mapped().map(|m| ShardData::Borrowed(m.view())),
-            #[cfg(not(all(unix, target_endian = "little")))]
-            ShardStorage::Spilled(s) => s.load_retrying().map(ShardData::Owned),
-            ShardStorage::QuantResident { exact, .. } => Ok(ShardData::Borrowed(exact.view())),
-            ShardStorage::QuantSpilled(s) => s.exact_payload(),
+            ShardStorage::Resident { exact, .. } => Ok(exact.view()),
+            ShardStorage::Spilled(s) => s.mapped().map(MappedPayload::view),
         }
     }
 
-    /// Spills the matrix (both tiers when quantized) to a fresh file under `dir`.
+    /// The payload file backing spilled storage (`None` when resident) — what the
+    /// snapshot and delta savers compare against their target and base directories.
+    pub fn spill_file(&self) -> Option<&Path> {
+        match self {
+            ShardStorage::Resident { .. } => None,
+            ShardStorage::Spilled(s) => Some(s.file_path()),
+        }
+    }
+
+    /// Writes this shard's payload file to `dest`: serialized from memory when
+    /// resident, copied byte for byte (no deserialization) when spilled.
+    pub(crate) fn write_to(&self, dest: &Path) -> io::Result<()> {
+        match self {
+            ShardStorage::Resident { exact, quant } => {
+                write_payload_file(dest, exact, quant.as_ref())
+            }
+            ShardStorage::Spilled(s) => s.copy_to(dest),
+        }
+    }
+
+    /// Spills the payload (both tiers when quantized) to a fresh file under `dir`.
     /// No-op when already spilled. On I/O failure the matrix simply stays resident
     /// (spilling is an optimization; the error is returned for reporting).
     pub fn spill(&mut self, dir: &SpillDir) -> io::Result<()> {
-        match self {
-            ShardStorage::Resident(matrix) => {
-                let spilled = SpilledShard::write(dir, matrix)?;
-                *self = ShardStorage::Spilled(spilled);
-            }
-            ShardStorage::QuantResident { quant, exact } => {
-                let spilled = QuantSpilledShard::write(dir, quant, exact)?;
-                *self = ShardStorage::QuantSpilled(spilled);
-            }
-            ShardStorage::Spilled(_) | ShardStorage::QuantSpilled(_) => {}
+        if let ShardStorage::Resident { exact, quant } = self {
+            *self = ShardStorage::Spilled(SpilledShard::write(dir, exact, quant.as_ref())?);
         }
         Ok(())
     }
 
     /// Faults the exact matrix back into memory for mutation (ingestion into a
     /// partially filled tail shard). An owned spill file is deleted; a non-owning
-    /// snapshot payload is left on disk for other loads of the same snapshot. No-op
-    /// when already plain-resident.
+    /// snapshot payload is left on disk for other loads of the same snapshot.
     ///
-    /// Quantized storage degrades to plain [`ShardStorage::Resident`] here: mutation
-    /// invalidates the codes, and the next `compact()` re-quantizes under the index's
-    /// current quantization setting.
+    /// The quantized tier is dropped here: mutation invalidates the codes, and the
+    /// next `compact()` re-quantizes under the index's current quantization setting.
     ///
     /// # Errors
     /// An unreadable spill file (after the retry backoff); the storage is left
     /// spilled and untouched.
     pub fn make_resident(&mut self) -> Result<&mut Matrix, StorageError> {
-        match self {
-            ShardStorage::Spilled(s) => {
-                let matrix = s.load_retrying()?;
-                *self = ShardStorage::Resident(matrix);
-            }
-            ShardStorage::QuantSpilled(s) => {
-                let (_, exact) = s.load_all_retrying()?;
-                *self = ShardStorage::Resident(exact);
-            }
-            ShardStorage::QuantResident { .. } => {
-                let ShardStorage::QuantResident { exact, .. } =
-                    std::mem::replace(self, ShardStorage::Resident(Matrix::zeros(0, 0)))
-                else {
-                    unreachable!("matched above")
-                };
-                *self = ShardStorage::Resident(exact);
-            }
-            ShardStorage::Resident(_) => {}
+        if let ShardStorage::Spilled(s) = self {
+            let exact = s.load_retrying()?;
+            *self = ShardStorage::Resident { exact, quant: None };
         }
         match self {
-            ShardStorage::Resident(m) => Ok(m),
-            _ => unreachable!("made resident above"),
+            ShardStorage::Resident { exact, quant } => {
+                *quant = None;
+                Ok(exact)
+            }
+            ShardStorage::Spilled(_) => unreachable!("made resident above"),
         }
     }
 
-    /// Quantizes a plain-resident shard in place (builds the i8 tier next to the
-    /// untouched exact matrix). No-op for already-quantized or spilled storage —
-    /// spilled shards are re-quantized when compaction rebuilds them resident.
+    /// Quantizes resident storage in place (builds the i8 tier next to the untouched
+    /// exact matrix). No-op for already-quantized or spilled storage — spilled shards
+    /// are re-quantized when compaction rebuilds them resident.
     pub(crate) fn quantize_resident(&mut self) {
-        if matches!(self, ShardStorage::Resident(_)) {
-            let ShardStorage::Resident(exact) =
-                std::mem::replace(self, ShardStorage::Resident(Matrix::zeros(0, 0)))
-            else {
-                unreachable!("matched above")
-            };
-            let quant = QuantizedMatrix::quantize(&exact);
-            *self = ShardStorage::QuantResident { quant, exact };
-        }
-    }
-
-    /// Drops the quantized tier of a quant-resident shard, keeping the exact matrix
-    /// (the reverse of [`ShardStorage::quantize_resident`]). No-op otherwise. The
-    /// non-test path goes through [`ShardStorage::make_resident`], which lands on the
-    /// plain dense state from every variant.
-    #[cfg(test)]
-    pub(crate) fn dequantize_resident(&mut self) {
-        if matches!(self, ShardStorage::QuantResident { .. }) {
-            let ShardStorage::QuantResident { exact, .. } =
-                std::mem::replace(self, ShardStorage::Resident(Matrix::zeros(0, 0)))
-            else {
-                unreachable!("matched above")
-            };
-            *self = ShardStorage::Resident(exact);
+        if let ShardStorage::Resident { exact, quant } = self {
+            quant.get_or_insert_with(|| QuantizedMatrix::quantize(exact));
         }
     }
 }
@@ -1805,23 +1380,68 @@ pub(crate) mod tests {
         Matrix::from_vec(12, 5, data)
     }
 
+    /// Both payload formats (`quantized` = `SWSHARDQ1`), for the tests that must hold
+    /// for each: the reader is shared, so every corruption case runs on both.
+    const FORMATS: [bool; 2] = [false, true];
+
+    /// Spills the fixture in the given format; returns the owning handle and the exact
+    /// matrix it holds.
+    fn spill_fixture(dir: &SpillDir, quantized: bool) -> (SpilledShard, Matrix) {
+        let exact = fixture_matrix();
+        let quant = quantized.then(|| QuantizedMatrix::quantize(&exact));
+        let spilled = SpilledShard::write(dir, &exact, quant.as_ref()).expect("spill");
+        (spilled, exact)
+    }
+
+    /// A fresh non-owning handle on `spilled`'s file: empty caches, so every read goes
+    /// through the reader.
+    fn reopen(spilled: &SpilledShard) -> SpilledShard {
+        SpilledShard::open_unchecked(
+            spilled.path.clone(),
+            spilled.quantized,
+            spilled.rows,
+            spilled.cols,
+        )
+    }
+
+    /// Asserts that the copying read, the retrying read, and the query-path mapping of a
+    /// fresh handle all reject `spilled`'s file as corrupt, with `what` in the message.
+    fn assert_corrupt(spilled: &SpilledShard, what: &str) {
+        let fresh = reopen(spilled);
+        let errs = [
+            fresh.load().expect_err("load must fail"),
+            fresh
+                .load_retrying()
+                .expect_err("corruption is not retried"),
+            fresh.mapped().expect_err("the mapping must fail too"),
+        ];
+        for err in errs {
+            assert!(err.is_corrupt(), "quantized={}: {err}", spilled.quantized);
+            assert!(
+                err.to_string().contains(what),
+                "expected {what:?}, got: {err}"
+            );
+        }
+    }
+
     #[test]
     fn spill_round_trip_is_byte_identical() {
         let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
-        let matrix = fixture_matrix();
-        let spilled = SpilledShard::write(&dir, &matrix).expect("spill");
-        let loaded = spilled.load().expect("fault");
-        assert_eq!(
-            (loaded.rows(), loaded.cols()),
-            (matrix.rows(), matrix.cols())
-        );
-        for (i, (a, b)) in matrix.data().iter().zip(loaded.data().iter()).enumerate() {
+        for quantized in FORMATS {
+            let (spilled, matrix) = spill_fixture(&dir, quantized);
+            let loaded = spilled.load().expect("fault");
             assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "element {i} changed bits across the spill round trip"
+                (loaded.rows(), loaded.cols()),
+                (matrix.rows(), matrix.cols())
             );
+            for (i, (a, b)) in matrix.data().iter().zip(loaded.data().iter()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "element {i} changed bits across the spill round trip"
+                );
+            }
         }
     }
 
@@ -1831,7 +1451,10 @@ pub(crate) mod tests {
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let bytes = matrix.data().len() * 4;
-        let mut storage = ShardStorage::Resident(matrix.clone());
+        let mut storage = ShardStorage::Resident {
+            exact: matrix.clone(),
+            quant: None,
+        };
         assert!(storage.is_resident());
         assert_eq!(storage.resident_bytes(), bytes);
 
@@ -1861,7 +1484,7 @@ pub(crate) mod tests {
         let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let dir_path = dir.path().to_path_buf();
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
+        let spilled = SpilledShard::write(&dir, &fixture_matrix(), None).expect("spill");
         let file_path = spilled.path.clone();
         assert!(file_path.exists());
         drop(spilled);
@@ -1882,14 +1505,14 @@ pub(crate) mod tests {
         let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
-        let owned = SpilledShard::write(&dir, &matrix).expect("spill");
-        let path = owned.path.clone();
+        let owned = SpilledShard::write(&dir, &matrix, None).expect("spill");
         // Detach the file from the owning handle by copying it aside.
         let snapshot_path = dir.path().join("snapshot-copy.bin");
         owned.copy_to(&snapshot_path).expect("copy payload");
 
-        let opened = SpilledShard::open(snapshot_path.clone(), matrix.rows(), matrix.cols())
-            .expect("open snapshot payload");
+        let (rows, cols) = (matrix.rows(), matrix.cols());
+        let opened =
+            SpilledShard::open(snapshot_path.clone(), false, rows, cols).expect("open payload");
         assert_eq!(opened.load().expect("load"), matrix);
         assert_eq!(opened.file_path(), snapshot_path.as_path());
         drop(opened);
@@ -1899,47 +1522,100 @@ pub(crate) mod tests {
         );
 
         // Copying a file onto itself (snapshot re-saved into its own dir) is a no-op.
-        let reopened =
-            SpilledShard::open(snapshot_path.clone(), matrix.rows(), matrix.cols()).unwrap();
+        let reopened = SpilledShard::open(snapshot_path.clone(), false, rows, cols).unwrap();
         reopened.copy_to(&snapshot_path).expect("self-copy");
         assert_eq!(reopened.load().expect("load after self-copy"), matrix);
 
-        // A wrong manifest shape is caught at open time, before any query faults.
-        let err = SpilledShard::open(snapshot_path, matrix.rows() + 4, matrix.cols())
-            .expect_err("bad shape must fail fast");
-        assert!(err.is_corrupt(), "length mismatch is corruption: {err}");
-        assert!(err.to_string().contains("bytes on disk"), "got: {err}");
-        drop(dir);
-        let _ = path;
+        // A wrong manifest shape or format is caught at open time, before any query
+        // faults.
+        for (quantized, rows) in [(false, rows + 4), (true, rows)] {
+            let err = SpilledShard::open(snapshot_path.clone(), quantized, rows, cols)
+                .expect_err("bad shape must fail fast");
+            assert!(err.is_corrupt(), "length mismatch is corruption: {err}");
+            assert!(err.to_string().contains("bytes on disk"), "got: {err}");
+        }
+        // A shape whose file length overflows is corruption too, not a panic.
+        let err = SpilledShard::open(snapshot_path, false, 1 << 62, cols)
+            .expect_err("overflowing shape must fail");
+        assert!(
+            err.is_corrupt() && err.to_string().contains("overflows"),
+            "got: {err}"
+        );
     }
 
     #[test]
     fn corrupted_magic_is_rejected() {
         let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
-        let mut bytes = fs::read(&spilled.path).unwrap();
-        bytes[0] ^= 0xFF;
-        fs::write(&spilled.path, &bytes).unwrap();
-        let err = spilled.load().expect_err("corrupted magic must fail");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("bad magic"), "got: {err}");
+        for quantized in FORMATS {
+            let (spilled, _) = spill_fixture(&dir, quantized);
+            let mut bytes = fs::read(&spilled.path).unwrap();
+            bytes[0] ^= 0xFF;
+            fs::write(&spilled.path, &bytes).unwrap();
+            assert_corrupt(&spilled, "bad magic");
+        }
+    }
+
+    #[test]
+    fn header_shape_mismatch_is_rejected() {
+        let _s = fault_lock();
+        let dir = SpillDir::create().expect("create spill dir");
+        for quantized in FORMATS {
+            let (spilled, matrix) = spill_fixture(&dir, quantized);
+            // Rewrite the header's row count; the file length still matches the shape
+            // the handle records, so only the header check can catch it.
+            let layout = Layout::of(quantized, matrix.rows(), matrix.cols()).unwrap();
+            let mut bytes = fs::read(&spilled.path).unwrap();
+            let at = layout.shape_at;
+            bytes[at..at + 8].copy_from_slice(&(matrix.rows() as u64 + 1).to_le_bytes());
+            fs::write(&spilled.path, &bytes).unwrap();
+            assert_corrupt(&spilled, "header shape disagrees");
+        }
     }
 
     #[test]
     fn single_flipped_payload_bit_fails_the_crc() {
         let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
-        let mut bytes = fs::read(&spilled.path).unwrap();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - TRAILER_LEN) / 2;
-        bytes[mid] ^= 0x01; // one bit, deep in the float payload
-        fs::write(&spilled.path, &bytes).unwrap();
-        let err = spilled.load().expect_err("bit rot must not load");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("CRC-32"), "got: {err}");
-        // Corruption is not retried — the retry wrapper fails identically and fast.
-        assert!(spilled.load_retrying().unwrap_err().is_corrupt());
+        for quantized in FORMATS {
+            let (spilled, matrix) = spill_fixture(&dir, quantized);
+            let layout = Layout::of(quantized, matrix.rows(), matrix.cols()).unwrap();
+            let pristine = fs::read(&spilled.path).unwrap();
+            // One bit deep in the exact f32 tier, and (quantized) one in the codes.
+            let mut targets = vec![(layout.exact_at + layout.codes_at()) / 2];
+            if quantized {
+                targets.push(layout.codes_at() + 3);
+            }
+            for at in targets {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= 0x01;
+                fs::write(&spilled.path, &bytes).unwrap();
+                assert_corrupt(&spilled, "CRC-32");
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_payloads_fail_typed_at_open_and_on_read() {
+        let _s = fault_lock();
+        let dir = SpillDir::create().expect("create spill dir");
+        for quantized in FORMATS {
+            let (spilled, matrix) = spill_fixture(&dir, quantized);
+            let mut bytes = fs::read(&spilled.path).unwrap();
+            bytes.truncate(bytes.len() / 2);
+            fs::write(&spilled.path, &bytes).unwrap();
+            let err = SpilledShard::open(
+                spilled.path.clone(),
+                quantized,
+                matrix.rows(),
+                matrix.cols(),
+            )
+            .expect_err("torn file must fail fast");
+            assert!(err.is_corrupt());
+            assert!(err.to_string().contains("bytes on disk"), "got: {err}");
+            // A handle opened before the tear reports the same corruption on read.
+            assert_corrupt(&spilled, "bytes on disk");
+        }
     }
 
     #[test]
@@ -1953,13 +1629,21 @@ pub(crate) mod tests {
     fn vanished_spill_file_is_a_typed_io_error_with_the_path() {
         let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
-        fs::remove_file(&spilled.path).unwrap();
-        let err = spilled.load_retrying().expect_err("missing file must fail");
-        assert!(!err.is_corrupt(), "a vanished file is an I/O fault");
-        let msg = err.with_shard(3).to_string();
-        assert!(msg.contains("shard 3"), "got: {msg}");
-        assert!(msg.contains("shard-0.bin"), "got: {msg}");
+        for quantized in FORMATS {
+            let (spilled, _) = spill_fixture(&dir, quantized);
+            fs::remove_file(&spilled.path).unwrap();
+            let fresh = reopen(&spilled);
+            let errs = [
+                fresh.load_retrying().expect_err("missing file must fail"),
+                fresh.mapped().expect_err("missing file must not map"),
+            ];
+            for err in errs {
+                assert!(!err.is_corrupt(), "a vanished file is an I/O fault");
+                let msg = err.with_shard(3).to_string();
+                assert!(msg.contains("shard 3"), "got: {msg}");
+                assert!(msg.contains(".bin"), "got: {msg}");
+            }
+        }
     }
 
     #[test]
@@ -1967,31 +1651,50 @@ pub(crate) mod tests {
         let _s = fault_lock();
         let _g = DisarmGuard;
         let dir = SpillDir::create().expect("create spill dir");
-        let matrix = fixture_matrix();
-        let spilled = SpilledShard::write(&dir, &matrix).expect("spill");
+        for quantized in FORMATS {
+            let (spilled, matrix) = spill_fixture(&dir, quantized);
 
-        // A bounded transient fault: the single-attempt read fails, the retry loop
-        // rides it out.
-        faults::arm("spill.read.io_err", faults::Policy::Times(2));
-        assert!(spilled.load().is_err());
-        assert_eq!(spilled.load_retrying().expect("retries recover"), matrix);
-        faults::disarm("spill.read.io_err");
+            // A bounded transient fault: the single-attempt read fails, the retry loop
+            // rides it out — on the copying read and on the query-path mapping.
+            faults::arm("spill.read.io_err", faults::Policy::Times(2));
+            assert!(spilled.load().is_err());
+            assert_eq!(spilled.load_retrying().expect("retries recover"), matrix);
+            faults::arm("spill.read.io_err", faults::Policy::Times(2));
+            let fresh = reopen(&spilled);
+            let view = fresh.mapped().expect("retries recover").view().to_matrix();
+            assert_eq!(view, matrix);
+            if quantized {
+                let expected = QuantizedMatrix::quantize(&matrix);
+                assert_eq!(fresh.quant().unwrap().expect("decoded"), &expected);
+            }
+            faults::disarm("spill.read.io_err");
 
-        // A durable fault exhausts the retries and surfaces the injected error.
-        faults::arm("spill.read.io_err", faults::Policy::Always);
-        let err = spilled.load_retrying().expect_err("durable fault");
-        assert!(err.to_string().contains("spill.read.io_err"), "got: {err}");
+            // A durable fault exhausts the retries and surfaces the injected error.
+            faults::arm("spill.read.io_err", faults::Policy::Always);
+            let err = spilled.load_retrying().expect_err("durable fault");
+            assert!(err.to_string().contains("spill.read.io_err"), "got: {err}");
+            let err = reopen(&spilled).mapped().expect_err("durable fault");
+            assert!(err.to_string().contains("spill.read.io_err"), "got: {err}");
+            faults::disarm("spill.read.io_err");
+        }
     }
 
     #[test]
     fn quantized_spill_round_trip_is_byte_identical_on_both_tiers() {
         let _s = fault_lock();
         let dir = SpillDir::create().expect("create spill dir");
-        let exact = fixture_matrix();
+        let (spilled, exact) = spill_fixture(&dir, true);
         let quant = QuantizedMatrix::quantize(&exact);
-        let spilled = QuantSpilledShard::write(&dir, &quant, &exact).expect("spill");
-        let (q2, e2) = spilled.load_all().expect("fault");
-        assert_eq!(q2, quant, "quantized tier must round-trip exactly");
+        // The seeded cache answers without re-reading the file; a fresh handle decodes
+        // the same tier from the file.
+        assert_eq!(spilled.quant().unwrap().expect("seeded"), &quant);
+        let fresh = reopen(&spilled);
+        assert_eq!(
+            fresh.quant().unwrap().expect("decoded"),
+            &quant,
+            "quantized tier must round-trip exactly"
+        );
+        let e2 = fresh.load().expect("fault");
         for (i, (a, b)) in exact.data().iter().zip(e2.data().iter()).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -1999,11 +1702,10 @@ pub(crate) mod tests {
                 "exact element {i} changed bits across the quantized round trip"
             );
         }
-        // The seeded cache answers without re-reading the file.
-        assert_eq!(spilled.quant().expect("seeded"), &quant);
-        // The mmap'd exact tier serves the same bits.
-        let view = spilled.exact_payload().expect("map").view().to_matrix();
-        assert_eq!(view, exact);
+        // The mapped exact tier serves the same bits.
+        assert_eq!(spilled.mapped().expect("map").view().to_matrix(), exact);
+        // A plain file has no quantized tier.
+        assert!(spill_fixture(&dir, false).0.quant().is_none());
     }
 
     #[test]
@@ -2038,7 +1740,10 @@ pub(crate) mod tests {
         let dir = SpillDir::create().expect("create spill dir");
         let exact = fixture_matrix();
         let bytes = exact.data().len() * 4;
-        let mut storage = ShardStorage::Resident(exact.clone());
+        let mut storage = ShardStorage::Resident {
+            exact: exact.clone(),
+            quant: None,
+        };
         assert_eq!(storage.quantized_payload_bytes(), 0);
 
         storage.quantize_resident();
@@ -2054,11 +1759,7 @@ pub(crate) mod tests {
         // The spill seeded the quantized cache, so its bytes are still resident.
         assert_eq!(storage.quantized_payload_bytes(), qbytes);
         assert_eq!(
-            storage
-                .query_payload()
-                .expect("exact view")
-                .view()
-                .to_matrix(),
+            storage.query_payload().expect("exact view").to_matrix(),
             exact
         );
 
@@ -2072,40 +1773,12 @@ pub(crate) mod tests {
         assert_eq!(*faulted, exact);
         assert!(storage.is_resident() && !storage.is_quantized());
 
+        // Making quant-resident storage resident drops the tier without touching the
+        // exact matrix.
         storage.quantize_resident();
-        storage.dequantize_resident();
+        storage.make_resident().expect("already resident");
         assert!(!storage.is_quantized());
         assert_eq!(*storage.matrix().expect("still exact"), exact);
-    }
-
-    #[test]
-    fn corrupt_quantized_payloads_fail_typed_like_dense_ones() {
-        let _s = fault_lock();
-        let dir = SpillDir::create().expect("create spill dir");
-        let exact = fixture_matrix();
-        let quant = QuantizedMatrix::quantize(&exact);
-        let spilled = QuantSpilledShard::write(&dir, &quant, &exact).expect("spill");
-
-        // A single flipped bit deep in the codes section fails the CRC.
-        let mut bytes = fs::read(&spilled.path).unwrap();
-        let codes_at = QHEADER_LEN + exact.rows() * 4 + exact.rows() * exact.cols() * 4;
-        bytes[codes_at + 3] ^= 0x01;
-        fs::write(&spilled.path, &bytes).unwrap();
-        let fresh =
-            QuantSpilledShard::open_unchecked(spilled.path.clone(), exact.rows(), exact.cols());
-        let err = fresh.load_all().expect_err("bit rot must not load");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("CRC-32"), "got: {err}");
-        let err = fresh.quant().expect_err("mapped path rejects it too");
-        assert!(err.is_corrupt());
-
-        // A truncated (torn) file is caught by the open-time length check.
-        bytes.truncate(bytes.len() / 2);
-        fs::write(&spilled.path, &bytes).unwrap();
-        let err = QuantSpilledShard::open(spilled.path.clone(), exact.rows(), exact.cols())
-            .expect_err("torn file must fail fast");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("bytes on disk"), "got: {err}");
     }
 
     #[test]
@@ -2113,7 +1786,10 @@ pub(crate) mod tests {
         let _s = fault_lock();
         let _g = DisarmGuard;
         let dir = SpillDir::create().expect("create spill dir");
-        let mut storage = ShardStorage::Resident(fixture_matrix());
+        let mut storage = ShardStorage::Resident {
+            exact: fixture_matrix(),
+            quant: None,
+        };
         faults::arm("spill.write.io_err", faults::Policy::Once);
         assert!(storage.spill(&dir).is_err(), "injected write fault");
         assert!(storage.is_resident(), "a failed spill must not lose data");

@@ -10,7 +10,9 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use sudowoodo_faults as faults;
-use sudowoodo_index::{BlockingIndex, QuantSpec, ShardedCosineIndex, MANIFEST_FILE};
+use sudowoodo_index::{
+    BlockingIndex, QuantSpec, ShardedCosineIndex, DELTA_MANIFEST_FILE, MANIFEST_FILE,
+};
 
 fn fault_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -354,4 +356,97 @@ fn manifest_corruption_is_named_not_misparsed() {
     let err = BlockingIndex::load_snapshot(&dir).unwrap_err();
     assert!(err.to_string().contains("CRC"), "got: {err}");
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // Hostile manifests with a valid CRC: every huge count is bounded only by other
+    // fields of the same manifest, so the loaders must reject them typed instead of
+    // allocating (or computing a payload length) from them.
+    let huge = 1u64 << 40;
+    let assert_invalid = |err: std::io::Error, what: &str| {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    };
+
+    // Full snapshot: shard_capacity, next_id, the first record's rows and its row
+    // count, all at 2^40.
+    let dir = crash_dir("manifest-hostile-full");
+    ShardedCosineIndex::from_vectors(&vectors(8, 4, 42), 4)
+        .save_snapshot(&dir)
+        .unwrap();
+    forge_manifest(
+        &dir.join(MANIFEST_FILE),
+        &[(17, huge), (25, huge), (49, huge), (66, huge)],
+    );
+    assert_invalid(
+        ShardedCosineIndex::load_snapshot(&dir).unwrap_err(),
+        "full-snapshot row bomb",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Delta: a base whose legitimately huge shard capacity leaves the delta record's
+    // row count bounded only by next_id and rows, both forged to 2^40.
+    let base = crash_dir("manifest-hostile-base");
+    let head = crash_dir("manifest-hostile-delta");
+    ShardedCosineIndex::from_vectors(&vectors(8, 4, 43), 1 << 40)
+        .save_snapshot(&base)
+        .unwrap();
+    let mut grown = ShardedCosineIndex::load_snapshot(&base).unwrap();
+    grown.add_batch(&vectors(4, 4, 44));
+    grown.save_delta_snapshot(&base, &head).unwrap();
+    let delta_manifest = head.join(DELTA_MANIFEST_FILE);
+    let bytes = std::fs::read(&delta_manifest).unwrap();
+    // magic · base_kind · base_ref (len u64 + bytes) · base_crc, then the geometry.
+    let ref_len = u64::from_le_bytes(bytes[9..17].try_into().unwrap()) as usize;
+    let geometry = 17 + ref_len + 4;
+    let record = geometry + 40;
+    assert_eq!(bytes[record], 0, "the grown shard is written locally");
+    forge_manifest(
+        &delta_manifest,
+        &[
+            (geometry + 16, huge),
+            (record + 1, huge),
+            (record + 18, huge),
+        ],
+    );
+    assert_invalid(
+        ShardedCosineIndex::load_snapshot(&head).unwrap_err(),
+        "delta row bomb",
+    );
+    std::fs::remove_dir_all(&head).unwrap();
+    std::fs::remove_dir_all(&base).unwrap();
+
+    // Dense snapshot: payload rows of 2^62 overflow the payload length arithmetic.
+    let dir = crash_dir("manifest-hostile-dense");
+    BlockingIndex::build(vectors(8, 4, 45), None)
+        .save_snapshot(&dir)
+        .unwrap();
+    forge_manifest(&dir.join(MANIFEST_FILE), &[(25, 1 << 62)]);
+    assert_invalid(
+        BlockingIndex::load_snapshot(&dir).unwrap_err(),
+        "dense payload length overflow",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Overwrites little-endian u64 `fields` (byte offset, value) of a manifest and re-fixes
+/// its CRC-32 trailer, so only the loader's own validation can reject the values.
+fn forge_manifest(path: &std::path::Path, fields: &[(usize, u64)]) {
+    let mut bytes = std::fs::read(path).unwrap();
+    for &(at, value) in fields {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    let body = bytes.len() - 4;
+    let crc = crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Bitwise CRC-32/ISO-HDLC, the manifest trailer checksum.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
 }
