@@ -138,8 +138,8 @@ fn bench_encoder(c: &mut Criterion) {
     c.bench_function("infer_chunk_meanpool_batch64", |b| {
         b.iter(|| black_box(meanpool.infer_chunk(black_box(&chunk64))))
     });
-    // The PR 3 batched masked-attention paths: one padded tape graph / one tape-free
-    // batched forward per 64-item chunk, vs. the retained per-sequence oracle.
+    // The Transformer paths: one padded batched tape graph per 64-item chunk, and the
+    // tape-free per-sequence inference over the same chunk.
     c.bench_function("encode_batch_transformer_batch64", |b| {
         b.iter(|| {
             let mut tape = Tape::new();
@@ -148,9 +148,6 @@ fn bench_encoder(c: &mut Criterion) {
     });
     c.bench_function("infer_chunk_transformer_batch64", |b| {
         b.iter(|| black_box(transformer.infer_chunk(black_box(&chunk64))))
-    });
-    c.bench_function("infer_chunk_reference_transformer_batch64", |b| {
-        b.iter(|| black_box(transformer.infer_chunk_reference(black_box(&chunk64))))
     });
 }
 

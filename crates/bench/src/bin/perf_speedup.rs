@@ -6,12 +6,11 @@
 //!
 //! * square `matmul` 128–1024: blocked/SIMD kernel vs. the naive reference triple loop
 //!   ([`Matrix::matmul_naive`]);
-//! * `embed_all` over 4k records, for **both** encoder architectures: the batched,
-//!   tape-free, rayon-chunked inference path vs. the seed's per-row tape graphs
+//! * `embed_all` over 4k records, for **both** encoder architectures: the tape-free,
+//!   rayon-chunked inference path vs. the seed's per-row tape graphs
 //!   (reconstructed via `encode_text` + `stack_rows` per 64-item chunk, which is exactly
 //!   what the seed's `embed_all` executed);
-//! * the Transformer batched-masked-attention tentpole in isolation: `infer_chunk` vs.
-//!   the frozen per-sequence inference oracle (`infer_chunk_reference`) and the batched
+//! * the Transformer batched-masked-attention training path in isolation: the batched
 //!   `encode_batch` tape graph vs. one per-row graph per text;
 //! * `knn_join`: the GEMM-tiled join vs. a per-query scalar scan without kernels — in
 //!   the dense layout, the sharded layout, the sharded layout with every shard spilled
@@ -377,9 +376,8 @@ fn embed_rows(rows: &mut Vec<SpeedupRow>) {
     }
 }
 
-/// Batched masked attention vs. the retained per-sequence oracle, both tape-free and on
-/// the tape (the PR-3 tentpole). The oracle (`infer_chunk_reference`, per-row
-/// `encode_text` graphs) is frozen, exactly like `matmul_naive` for the kernels.
+/// Batched masked attention on the tape vs. the retained per-sequence oracle (per-row
+/// `encode_text` graphs), which is frozen exactly like `matmul_naive` for the kernels.
 fn transformer_batching_rows(rows: &mut Vec<SpeedupRow>) {
     let corpus = perf_corpus();
     let config = EncoderConfig {
@@ -391,27 +389,6 @@ fn transformer_batching_rows(rows: &mut Vec<SpeedupRow>) {
         max_len: 32,
     };
     let encoder = Encoder::from_corpus(config, &corpus, 7);
-
-    // Tape-free inference: padded batched masked attention vs the per-sequence loop.
-    let naive = time(2, || {
-        corpus
-            .chunks(64)
-            .map(|chunk| encoder.infer_chunk_reference(chunk).rows())
-            .sum::<usize>()
-    });
-    let fast = time(2, || {
-        corpus
-            .chunks(64)
-            .map(|chunk| encoder.infer_chunk(chunk).rows())
-            .sum::<usize>()
-    });
-    rows.push(SpeedupRow::new(
-        "infer_chunk 4k records (Transformer) vs per-sequence oracle".into(),
-        naive,
-        fast,
-        corpus.len(),
-        0,
-    ));
 
     // Training path: one batched tape graph per chunk vs one per-row graph per text.
     let noop = CutoffPlan::noop();

@@ -302,7 +302,7 @@ impl Encoder {
     }
 
     /// Inference-only embedding of many texts (no augmentation, no tape, no gradient
-    /// bookkeeping), parallel over 64-item chunks with rayon. Each chunk runs the batched
+    /// bookkeeping), parallel over 64-item chunks with rayon. Each chunk runs the
     /// matrix-level forward of [`Encoder::infer_chunk`]; model weights are shared across
     /// workers behind read locks.
     pub fn embed_all(&self, texts: &[String]) -> Vec<Vec<f32>> {
@@ -322,15 +322,14 @@ impl Encoder {
         out
     }
 
-    /// Batched inference forward for one chunk, returning `n x dim` L2-normalized rows
+    /// Tape-free inference forward for one chunk, returning `n x dim` L2-normalized rows
     /// (`0 x dim` for an empty chunk).
     ///
-    /// Both architectures run whole-chunk batched ops: `MeanPool` gathers and segment-mean
-    /// pools in place; `Transformer` packs the chunk into a padded `[n*max_len, dim]`
-    /// row-block and runs the batched masked attention path (projections and feed-forward
-    /// as chunk-wide GEMMs, scores as fused per-`(sequence, head)` `A * B^T` tiles with
-    /// padding keys masked). [`Encoder::infer_chunk_reference`] keeps the retired
-    /// per-sequence loop as the frozen equivalence oracle.
+    /// `MeanPool` gathers the whole chunk once and segment-mean pools in place.
+    /// `Transformer` runs each text on its own `len x dim` matrix (lookup, positional
+    /// add, the blocks' `infer`, mean of rows), so no padding is ever computed; a text
+    /// that tokenizes to nothing pools to the zero row. Both must match the tape paths
+    /// ([`Encoder::encode_batch`] and the per-sequence [`Encoder::encode_ids`] oracle).
     pub fn infer_chunk(&self, texts: &[String]) -> Matrix {
         let n = texts.len();
         let dim = self.config.dim;
@@ -342,78 +341,32 @@ impl Encoder {
             .map(|t| self.vocab.encode(t, self.config.max_len))
             .collect();
 
-        let pooled = match self.config.kind {
+        let mut pooled = Matrix::zeros(n, dim);
+        match self.config.kind {
             EncoderKind::MeanPool => {
                 // One gather for the chunk, then segment means accumulated in place.
                 let all_ids: Vec<usize> = ids_per_text.iter().flatten().copied().collect();
                 let embedded = self.embedding.lookup(&all_ids);
-                let mut means = Matrix::zeros(n, dim);
                 let mut offset = 0;
                 for (i, ids) in ids_per_text.iter().enumerate() {
                     if !ids.is_empty() {
                         for t in offset..offset + ids.len() {
                             let token_row = embedded.row(t);
-                            for (m, &e) in means.row_mut(i).iter_mut().zip(token_row.iter()) {
+                            for (m, &e) in pooled.row_mut(i).iter_mut().zip(token_row.iter()) {
                                 *m += e;
                             }
                         }
                         let inv = 1.0 / ids.len() as f32;
-                        for m in means.row_mut(i) {
+                        for m in pooled.row_mut(i) {
                             *m *= inv;
                         }
                     }
                     offset += ids.len();
                 }
-                let lifted = self.pool_mlp.infer(&means);
-                means.add(&lifted)
+                let lifted = self.pool_mlp.infer(&pooled);
+                pooled.add_assign(&lifted);
             }
             EncoderKind::Transformer => {
-                let lens: Vec<usize> = ids_per_text.iter().map(|ids| ids.len()).collect();
-                let max_len = lens.iter().copied().max().unwrap_or(0).max(1);
-                let mut padded_ids = Vec::with_capacity(n * max_len);
-                for ids in &ids_per_text {
-                    padded_ids.extend(ids.iter().copied());
-                    padded_ids.resize(padded_ids.len() + (max_len - ids.len()), 0);
-                }
-                let embedded = self.embedding.lookup(&padded_ids);
-                let mut x = self.positional.infer_batch(&embedded, n, max_len);
-                for block in &self.blocks {
-                    x = block.infer_batch(&x, &lens, max_len);
-                }
-                sudowoodo_nn::tape::padded_segment_mean_rows(&x, &lens, max_len)
-            }
-        };
-        let normed = self.output_norm.infer(&pooled);
-        normed.l2_normalize_rows()
-    }
-
-    /// The retired per-sequence inference loop, kept verbatim as the frozen oracle for the
-    /// batched-attention equivalence tests and the `perf_speedup` baseline (the role
-    /// [`Matrix::matmul_naive`] plays for the GEMM kernels). Do not optimize this.
-    pub fn infer_chunk_reference(&self, texts: &[String]) -> Matrix {
-        let n = texts.len();
-        let dim = self.config.dim;
-        let ids_per_text: Vec<Vec<usize>> = texts
-            .iter()
-            .map(|t| self.vocab.encode(t, self.config.max_len))
-            .collect();
-
-        let pooled = match self.config.kind {
-            EncoderKind::MeanPool => {
-                let mut means = Matrix::zeros(n, dim);
-                for (i, ids) in ids_per_text.iter().enumerate() {
-                    if !ids.is_empty() {
-                        let embedded = self.embedding.lookup(ids);
-                        means
-                            .row_mut(i)
-                            .copy_from_slice(embedded.mean_rows().row(0));
-                    }
-                }
-                let lifted = self.pool_mlp.infer(&means);
-                means.add(&lifted)
-            }
-            EncoderKind::Transformer => {
-                let mut pooled = Matrix::zeros(n, dim);
                 for (i, ids) in ids_per_text.iter().enumerate() {
                     if ids.is_empty() {
                         continue;
@@ -425,9 +378,8 @@ impl Encoder {
                     }
                     pooled.row_mut(i).copy_from_slice(x.mean_rows().row(0));
                 }
-                pooled
             }
-        };
+        }
         let normed = self.output_norm.infer(&pooled);
         normed.l2_normalize_rows()
     }
@@ -615,7 +567,7 @@ mod tests {
     #[test]
     fn ragged_batches_with_empty_texts_agree_across_paths() {
         // "" tokenizes to the single PAD token, giving maximal raggedness next to a long
-        // text; batched tape, per-row oracle, and batched inference must still agree.
+        // text; batched tape, per-row oracle, and tape-free inference must still agree.
         let corpus = small_corpus();
         let config = EncoderConfig {
             kind: EncoderKind::Transformer,
@@ -639,30 +591,6 @@ mod tests {
 
         assert!(batched.approx_eq(&per_row, 1e-4));
         assert!(batched.approx_eq(&encoder.infer_chunk(&texts), 1e-4));
-        assert!(batched.approx_eq(&encoder.infer_chunk_reference(&texts), 1e-4));
-    }
-
-    #[test]
-    fn batched_inference_matches_per_sequence_reference() {
-        // The frozen per-sequence loop (`infer_chunk_reference`) is the oracle for the
-        // batched masked-attention inference path.
-        for kind in [EncoderKind::MeanPool, EncoderKind::Transformer] {
-            let config = EncoderConfig {
-                kind,
-                dim: 16,
-                layers: 2,
-                heads: 4,
-                ff_hidden: 32,
-                max_len: 24,
-            };
-            let encoder = Encoder::from_corpus(config, &small_corpus(), 14);
-            let batched = encoder.infer_chunk(&small_corpus());
-            let reference = encoder.infer_chunk_reference(&small_corpus());
-            assert!(
-                batched.approx_eq(&reference, 1e-4),
-                "{kind:?}: batched inference diverged from the per-sequence oracle"
-            );
-        }
     }
 
     #[test]

@@ -167,6 +167,35 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Scalars of every parameter a matcher of this shape stores (what
+/// [`PairMatcher::params`] lists: `MeanPool` has no positional table or Transformer
+/// blocks), or `None` when the count overflows.
+fn stored_scalars(config: &EncoderConfig, vocab_size: usize, use_diff_head: bool) -> Option<usize> {
+    let d = config.dim;
+    let linear = |inputs: usize, outputs: usize| inputs.checked_mul(outputs)?.checked_add(outputs);
+    let layer_norm = d.checked_mul(2)?;
+    let feed_forward = linear(d, config.ff_hidden)?.checked_add(linear(config.ff_hidden, d)?)?;
+    let body = match config.kind {
+        EncoderKind::MeanPool => feed_forward,
+        EncoderKind::Transformer => {
+            let block = linear(d, d)?
+                .checked_mul(4)?
+                .checked_add(feed_forward)?
+                .checked_add(layer_norm.checked_mul(2)?)?;
+            config
+                .max_len
+                .checked_mul(d)?
+                .checked_add(block.checked_mul(config.layers)?)?
+        }
+    };
+    let head_inputs = if use_diff_head { d.checked_mul(2)? } else { d };
+    vocab_size
+        .checked_mul(d)?
+        .checked_add(body)?
+        .checked_add(layer_norm)?
+        .checked_add(linear(head_inputs, 2)?)
+}
+
 /// Loads a matcher saved by [`save_matcher`]: rebuilds the encoder skeleton from the
 /// stored configuration + vocabulary, then overwrites every parameter with the stored
 /// bits, matched **by name**. The result scores any batch bit-identically to the
@@ -174,8 +203,11 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 /// I/O failures, and [`std::io::ErrorKind::InvalidData`] for a torn, truncated, or
-/// corrupted file (bad magic, CRC mismatch, unknown fields, parameter sets that do
-/// not line up with the stored configuration).
+/// corrupted file (bad magic, CRC mismatch, unknown fields, a head count that does not
+/// divide `dim`, a configuration whose parameters would not fit in the file, parameter
+/// sets that do not line up with the stored configuration). The configuration is
+/// checked before anything is sized from it, so a hostile file cannot make the loader
+/// allocate more than the file holds.
 pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
@@ -213,6 +245,15 @@ pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
         ff_hidden: r.u32("encoder ff_hidden")?,
         max_len: r.u32("encoder max_len")?,
     };
+    if config.heads == 0 || !config.dim.is_multiple_of(config.heads) {
+        return Err(corrupt(
+            path,
+            format!(
+                "encoder dim {} is not divisible by {} heads",
+                config.dim, config.heads
+            ),
+        ));
+    }
     let use_diff_head = match r.u8("use_diff_head")? {
         0 => false,
         1 => true,
@@ -225,11 +266,36 @@ pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
         tokens.push(r.string("vocab token")?);
     }
     let hash_buckets = r.u32("vocab hash_buckets")?;
+    let bytes_left = body.len() - r.at;
+    let implied = tokens
+        .len()
+        .checked_add(hash_buckets)
+        .and_then(|vocab_size| stored_scalars(&config, vocab_size, use_diff_head))
+        .and_then(|scalars| scalars.checked_mul(4));
+    if implied.is_none_or(|bytes| bytes > bytes_left) {
+        return Err(corrupt(
+            path,
+            format!(
+                "configuration {config:?} implies more parameter bytes than the {bytes_left} left"
+            ),
+        ));
+    }
     let vocab = Vocab::from_parts(tokens, hash_buckets);
 
     // The seed only shapes the random init, and every parameter is overwritten
-    // below — any value rebuilds the same skeleton.
-    let encoder = Encoder::with_vocab(config, vocab, 0);
+    // below — any value rebuilds the same skeleton. A `MeanPool` encoder never reads
+    // or stores the positional table and blocks, so its skeleton is built without
+    // them: the bound above covers everything the skeleton allocates.
+    let skeleton_config = match kind {
+        EncoderKind::MeanPool => EncoderConfig {
+            layers: 0,
+            max_len: 1,
+            ..config
+        },
+        EncoderKind::Transformer => config,
+    };
+    let mut encoder = Encoder::with_vocab(skeleton_config, vocab, 0);
+    encoder.config = config;
     let matcher = PairMatcher::new(encoder, use_diff_head, 0);
 
     let num_params = r.u32("parameter count")?;
@@ -423,6 +489,71 @@ mod tests {
         assert!(err.to_string().contains("magic"), "got: {err}");
 
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A copy of `bytes` with the little-endian `u32` at `at` set to `value` and the CRC
+    /// re-sealed, so only the forged field is wrong.
+    fn forge_u32(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
+        let mut forged = bytes.to_vec();
+        forged[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let end = forged.len() - 4;
+        let crc = crc32(&forged[..end]);
+        forged[end..].copy_from_slice(&crc.to_le_bytes());
+        forged
+    }
+
+    #[test]
+    fn hostile_configurations_are_typed_errors_before_any_allocation() {
+        // Header offsets: magic 0..8, kind 8, dim 9, layers 13, heads 17, ff_hidden 21,
+        // max_len 25, use_diff_head 29, vocab 30.. (hash_buckets after the tokens).
+        const DIM: usize = 9;
+        const LAYERS: usize = 13;
+        const HEADS: usize = 17;
+        let corpus: Vec<String> = (0..8)
+            .map(|i| format!("[COL] title [VAL] canon printer model m{i}"))
+            .collect();
+        let transformer = EncoderConfig {
+            kind: EncoderKind::Transformer,
+            ..EncoderConfig::tiny()
+        };
+        let matchers = [
+            trained_matcher(),
+            PairMatcher::new(Encoder::from_corpus(transformer, &corpus, 5), false, 5),
+        ];
+        for matcher in &matchers {
+            let kind = matcher.encoder.config.kind;
+            let path = tmp_path("hostile");
+            save_matcher(matcher, &path).expect("save");
+            let bytes = std::fs::read(&path).expect("read back");
+            let (tokens, _) = matcher.encoder.vocab().parts();
+            let hash_buckets = 34 + tokens.iter().map(|t| 4 + t.len()).sum::<usize>();
+
+            let mut inputs = vec![
+                ("heads = 0", forge_u32(&bytes, HEADS, 0)),
+                ("heads = 3", forge_u32(&bytes, HEADS, 3)),
+                ("dim = 2^30", forge_u32(&bytes, DIM, 1 << 30)),
+                (
+                    "hash_buckets = 2^31",
+                    forge_u32(&bytes, hash_buckets, 1 << 31),
+                ),
+            ];
+            // Only a Transformer builds and stores its blocks; a MeanPool skeleton never
+            // allocates them, whatever the layer count says.
+            if kind == EncoderKind::Transformer {
+                inputs.push(("layers = u32::MAX", forge_u32(&bytes, LAYERS, u32::MAX)));
+            }
+            for (what, forged) in inputs {
+                std::fs::write(&path, &forged).expect("write forged");
+                let err =
+                    load_matcher(&path).expect_err(&format!("{kind:?} {what}: the load must fail"));
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "{kind:?} {what}: {err}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

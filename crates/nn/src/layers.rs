@@ -217,17 +217,6 @@ impl LayerNorm {
         let b = tape.param(&self.bias);
         tape.add_row_broadcast(scaled, b)
     }
-
-    /// Inference-only padding-aware forward (no tape). Gain and bias apply in place on
-    /// the standardized buffer — no extra allocation per sub-layer call.
-    pub fn infer_batch(&self, x: &Matrix, valid: &[bool]) -> Matrix {
-        let mut standardized = crate::tape::masked_standardize_rows(x, self.eps, valid);
-        self.gain
-            .with_value(|g| standardized.mul_row_broadcast_mut(g));
-        self.bias
-            .with_value(|b| standardized.add_row_broadcast_mut(b));
-        standardized
-    }
 }
 
 impl Layer for LayerNorm {
@@ -393,24 +382,6 @@ impl MultiHeadSelfAttention {
         let ctx = tape.attention_context(attn, v, self.num_heads, max_len);
         self.wo.forward(tape, ctx)
     }
-
-    /// Inference-only batched masked forward (no tape); same packing as
-    /// [`MultiHeadSelfAttention::forward_batch`], but the scores → masked softmax →
-    /// context chain runs as the fused allocation-free kernel
-    /// [`crate::tape::masked_attention_infer`] (numerically identical to the composed
-    /// tape ops — the equivalence tests pin both against the per-sequence oracle).
-    pub fn infer_batch(&self, x: &Matrix, lens: &[usize], max_len: usize) -> Matrix {
-        let dim = self.wq.out_dim();
-        let head_dim = dim / self.num_heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let ctx =
-            crate::tape::masked_attention_infer(&q, &k, &v, self.num_heads, max_len, scale, lens);
-        self.wo.infer(&ctx)
-    }
 }
 
 impl Layer for MultiHeadSelfAttention {
@@ -489,21 +460,6 @@ impl TransformerBlock {
         let ff = self.feed_forward.forward(tape, normed);
         tape.add(x, ff)
     }
-
-    /// Inference-only batched masked forward (no tape). Residuals accumulate in place on
-    /// the owned sub-layer outputs (element-wise addition commutes, so the values match
-    /// the tape path exactly).
-    pub fn infer_batch(&self, x: &Matrix, lens: &[usize], max_len: usize) -> Matrix {
-        let valid = padded_row_validity(lens, max_len);
-        let normed = self.norm1.infer_batch(x, &valid);
-        let mut x1 = self.attention.infer_batch(&normed, lens, max_len);
-        x1.add_assign(x);
-        let mut out = self
-            .feed_forward
-            .infer(&self.norm2.infer_batch(&x1, &valid));
-        out.add_assign(&x1);
-        out
-    }
 }
 
 impl Layer for TransformerBlock {
@@ -577,15 +533,6 @@ impl PositionalEmbedding {
         let table = tape.param(&self.table);
         let pos = tape.gather_rows(table, &indices);
         tape.add(x, pos)
-    }
-
-    /// Inference-only batched forward (no tape); the sum accumulates in place on the
-    /// gathered position rows.
-    pub fn infer_batch(&self, x: &Matrix, batch: usize, max_len: usize) -> Matrix {
-        let indices = self.padded_indices(batch, max_len);
-        let mut pos = self.table.with_value(|t| t.gather_rows(&indices));
-        pos.add_assign(x);
-        pos
     }
 }
 

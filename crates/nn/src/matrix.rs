@@ -1473,23 +1473,6 @@ impl Matrix {
         }
     }
 
-    /// Multiplies every row element-wise by a `1 x d` row vector in place.
-    ///
-    /// # Panics
-    /// Panics when `gain` is not `1 x cols`.
-    pub fn mul_row_broadcast_mut(&mut self, gain: &Matrix) {
-        assert_eq!(gain.rows, 1, "mul_row_broadcast_mut: gain must be 1 x d");
-        assert_eq!(
-            self.cols, gain.cols,
-            "mul_row_broadcast_mut: width mismatch"
-        );
-        for r in 0..self.rows {
-            for (v, &g) in self.row_mut(r).iter_mut().zip(gain.data.iter()) {
-                *v *= g;
-            }
-        }
-    }
-
     /// Adds a `1 x d` row vector to every row, producing a new matrix.
     ///
     /// # Panics

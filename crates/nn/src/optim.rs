@@ -5,33 +5,32 @@
 //! tape (e.g. a shared embedding table used for both views of a contrastive batch) has its
 //! gradients summed before the update.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::matrix::Matrix;
 use crate::param::Param;
 use crate::tape::{Gradients, Tape};
 
-/// Collects gradients per distinct parameter, summing over repeated bindings.
+/// Collects gradients per distinct parameter, summing over repeated bindings. Parameters
+/// come back in the order of their first gradient-carrying binding on the tape, so the
+/// clipping norm sums in the same order on every step and in every process.
 fn collect_param_grads(tape: &Tape, grads: &Gradients) -> Vec<(Param, Matrix)> {
-    let mut by_id: HashMap<usize, (Param, Matrix)> = HashMap::new();
+    let mut collected: Vec<(Param, Matrix)> = Vec::new();
+    let mut slot_of: HashMap<usize, usize> = HashMap::new();
     for (node, param) in tape.bindings() {
-        let (rows, cols) = param.shape();
-        let g = match grads.get(*node) {
-            Some(g) => g.clone(),
-            None => continue,
+        let Some(g) = grads.get(*node) else {
+            continue;
         };
-        by_id
-            .entry(param.id())
-            .and_modify(|(_, acc)| acc.add_assign(&g))
-            .or_insert_with(|| {
-                (param.clone(), {
-                    let mut zero = Matrix::zeros(rows, cols);
-                    zero.add_assign(&g);
-                    zero
-                })
-            });
+        match slot_of.entry(param.id()) {
+            Entry::Occupied(slot) => collected[*slot.get()].1.add_assign(g),
+            Entry::Vacant(slot) => {
+                slot.insert(collected.len());
+                collected.push((param.clone(), g.clone()));
+            }
+        }
     }
-    by_id.into_values().collect()
+    collected
 }
 
 /// Computes the global L2 norm over a set of gradients.
@@ -237,6 +236,63 @@ mod tests {
         let collected = collect_param_grads(&tape, &grads);
         assert_eq!(collected.len(), 1);
         assert_eq!(collected[0].1.get(0, 0), 2.0);
+    }
+
+    #[test]
+    fn collected_parameters_follow_first_binding_order() {
+        // Eight distinct parameters bound in a scrambled order, some of them twice: the
+        // collected list must list each once, in the order it was first bound.
+        let params: Vec<Param> = (0..8)
+            .map(|i| Param::new(format!("p{i}"), Matrix::full(1, 2, i as f32 + 1.0)))
+            .collect();
+        let order = [5usize, 2, 7, 2, 0, 4, 5, 1, 6, 3, 7];
+        let mut tape = Tape::new();
+        let mut total = None;
+        for &i in &order {
+            let w = tape.param(&params[i]);
+            let s = tape.sum_all(w);
+            total = Some(match total {
+                Some(t) => tape.add(t, s),
+                None => s,
+            });
+        }
+        let grads = tape.backward(total.unwrap());
+        let collected = collect_param_grads(&tape, &grads);
+        let names: Vec<String> = collected.iter().map(|(p, _)| p.name()).collect();
+        assert_eq!(names, ["p5", "p2", "p7", "p0", "p4", "p1", "p6", "p3"]);
+        // Repeated bindings summed their gradients.
+        assert_eq!(collected[0].1.get(0, 0), 2.0);
+        assert_eq!(collected[3].1.get(0, 0), 1.0);
+    }
+
+    #[test]
+    fn clipped_adamw_steps_are_bit_reproducible() {
+        use crate::layers::{Layer, TransformerBlock};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let train = || {
+            let mut rng = StdRng::seed_from_u64(41);
+            let block = TransformerBlock::new("b", 8, 2, 16, &mut rng);
+            let x = Matrix::random_normal(5, 8, 1.0, &mut rng);
+            // A tight clipping threshold so every step rescales by the global norm.
+            let mut opt = AdamW::new(0.01).with_max_grad_norm(Some(1e-3));
+            for _ in 0..6 {
+                let mut tape = Tape::new();
+                let xv = tape.constant(x.clone());
+                let y = block.forward(&mut tape, xv);
+                let sq = tape.pow2(y);
+                let loss = tape.mean_all(sq);
+                let grads = tape.backward(loss);
+                opt.step(&tape, &grads);
+            }
+            block
+                .params()
+                .iter()
+                .map(|p| p.value().data().iter().map(|v| v.to_bits()).collect())
+                .collect::<Vec<Vec<u32>>>()
+        };
+        assert_eq!(train(), train());
     }
 
     #[test]

@@ -1264,76 +1264,6 @@ fn softmax_into(src: &[f32], dst: &mut [f32]) {
     softmax_in_place(dst);
 }
 
-/// Fused tape-free masked multi-head attention: scores, masked softmax, and context of
-/// every `(sequence, head)` tile in one pass, with one stack-local score row instead of
-/// the two `[batch*heads*seq, seq]` intermediates the tape path must keep for backward.
-/// `valid[b]` is the number of real keys of sequence `b` (its leading rows); query rows
-/// of an empty sequence produce zero rows. This is what
-/// [`crate::layers::MultiHeadSelfAttention::infer_batch`] runs; the composed helpers
-/// ([`attention_scores`] → [`masked_row_softmax`] → [`attention_context`]) remain the
-/// reference the equivalence tests pin it against.
-///
-/// # Panics
-/// Panics on inconsistent packing, mirroring [`attention_scores`] /
-/// [`attention_context`].
-pub fn masked_attention_infer(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    heads: usize,
-    seq: usize,
-    scale: f32,
-    valid: &[usize],
-) -> Matrix {
-    assert_eq!(q.shape(), k.shape(), "masked_attention_infer: Q/K mismatch");
-    assert_eq!(q.shape(), v.shape(), "masked_attention_infer: Q/V mismatch");
-    let dim = q.cols();
-    assert!(seq > 0, "masked_attention_infer: seq must be positive");
-    assert!(
-        q.rows().is_multiple_of(seq),
-        "masked_attention_infer: rows must be a multiple of seq"
-    );
-    assert!(
-        heads > 0 && dim.is_multiple_of(heads),
-        "masked_attention_infer: width must be divisible by heads"
-    );
-    let batch = q.rows() / seq;
-    assert_eq!(
-        valid.len(),
-        batch,
-        "masked_attention_infer: one valid-key count per sequence required"
-    );
-    let head_dim = dim / heads;
-    let mut out = Matrix::zeros(q.rows(), dim);
-    let mut row = vec![0.0f32; seq];
-    let mut kt = vec![0.0f32; head_dim * seq];
-    for (b, &count) in valid.iter().enumerate() {
-        let n = count.min(seq);
-        if n == 0 {
-            continue;
-        }
-        for h in 0..heads {
-            let c0 = h * head_dim;
-            pack_kt(k, b * seq, c0, head_dim, n, scale, &mut kt[..head_dim * n]);
-            for t in 0..seq {
-                let q_slice = &q.row(b * seq + t)[c0..c0 + head_dim];
-                row[..n].fill(0.0);
-                score_row_kt(q_slice, &kt[..head_dim * n], n, &mut row[..n]);
-                softmax_in_place(&mut row[..n]);
-                context_row(
-                    &row[..n],
-                    v,
-                    b * seq,
-                    c0,
-                    head_dim,
-                    &mut out.row_mut(b * seq + t)[c0..c0 + head_dim],
-                );
-            }
-        }
-    }
-    out
-}
-
 /// In-place stable softmax over a score row.
 fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
